@@ -1,12 +1,12 @@
 // Serving benchmark: continuous batching vs serial decode on the KV-cache
-// generation engine, plus a shared-prefix workload measuring paged-KV prefix
-// reuse (prefill tok/s and cache bytes vs the unpaged PR 9 layout), reporting
-// to stdout and BENCH_serve.json.
+// generation engine, plus a shared-prefix workload measuring prefix reuse
+// (prefill tok/s and KV bytes vs the same engine with the prefix cache
+// off), reporting to stdout and BENCH_serve.json.
 //
 // Self-checking: every scheduler completion must be bitwise-identical to the
 // same request generated solo (greedy decode is batch-invariant), and every
-// prefix-cached prefill must be bitwise-identical to the unpaged path, so a
-// speedup can never come from changed outputs.
+// prefix-cached prefill must be bitwise-identical to the cold prefill of the
+// prefix-cache-off engine, so a speedup can never come from changed outputs.
 #include <cstdio>
 #include <future>
 #include <string>
@@ -127,8 +127,9 @@ int main() {
 
   // -------------------------------------------------------------------------
   // Shared-prefix workload: kStreams prompts sharing a 75% common prefix.
-  // Prefix-cached paged prefill vs the unpaged (PR 9) layout: tok/s, rows
-  // computed, FLOPs saved, and physical KV bytes after page dedup.
+  // Prefix-cached prefill vs the same engine with the prefix cache off:
+  // tok/s, rows computed, FLOPs saved, and physical KV bytes after page
+  // dedup.
   // -------------------------------------------------------------------------
   constexpr int64_t kPrefixLen = 24;  // 75% of kPromptLen, = 3 full pages
   constexpr int64_t kPromptLen = 32;
@@ -160,8 +161,8 @@ int main() {
   serve::EngineOptions on_opts;
   on_opts.page_rows = kPageRows;  // prefix cache on by default
   serve::Engine eng_on(model, on_opts);
-  serve::EngineOptions off_opts;
-  off_opts.paged = false;  // the PR 9 contiguous layout, no sharing possible
+  serve::EngineOptions off_opts = on_opts;
+  off_opts.prefix_cache = false;  // every prompt prefills cold, no sharing
   serve::Engine eng_off(model, off_opts);
 
   obs::Counter& rows_reused =
@@ -237,19 +238,19 @@ int main() {
   const double flops_saved = static_cast<double>(reused) * flops_per_row;
 
   // Physical KV bytes for the final rep's streams: logical (every stream
-  // counts its full run, the PR 9 cost) vs unique pages after dedup.
-  int64_t kv_logical = 0, kv_unique = 0, kv_unpaged = 0;
+  // counts its full run) vs unique pages after dedup.
+  int64_t kv_logical = 0, kv_unique = 0, kv_no_sharing = 0;
   {
     std::unordered_set<const nn::KvPage*> seen;
     for (const auto& c : on_caches) {
       kv_logical += c->SizeBytes();
       for (int64_t b = 0; b < eng_on.num_blocks(); ++b) {
-        for (const std::shared_ptr<nn::KvPage>& p : c->paged_entry(b)->pages) {
+        for (const std::shared_ptr<nn::KvPage>& p : c->entry(b)->pages) {
           if (seen.insert(p.get()).second) kv_unique += p->SizeBytes();
         }
       }
     }
-    for (const auto& c : off_caches) kv_unpaged += c->SizeBytes();
+    for (const auto& c : off_caches) kv_no_sharing += c->SizeBytes();
   }
   const double kv_saved_frac =
       1.0 - static_cast<double>(kv_unique) / static_cast<double>(kv_logical);
@@ -258,7 +259,7 @@ int main() {
               " (%d reps)\n",
               kStreams, static_cast<long long>(kPromptLen),
               static_cast<long long>(kPrefixLen), kPrefixReps);
-  std::printf("  prefill unpaged:      %.1f tok/s\n", off_prefill_tps);
+  std::printf("  prefill cold:         %.1f tok/s\n", off_prefill_tps);
   std::printf("  prefill prefix-cache: %.1f tok/s  speedup %.2fx\n",
               on_prefill_tps, prefill_speedup);
   std::printf("  rows reused %lld/%lld (%.0f%%), ~%.2f GFLOP of projections"
@@ -268,9 +269,9 @@ int main() {
               flops_saved / 1e9,
               static_cast<long long>(prefix_hits.value() - hits0));
   std::printf("  kv bytes: %.1f KiB logical -> %.1f KiB unique (%.0f%% shared;"
-              " unpaged baseline %.1f KiB)\n",
+              " no-sharing baseline %.1f KiB)\n",
               kv_logical / 1024.0, kv_unique / 1024.0, 100.0 * kv_saved_frac,
-              kv_unpaged / 1024.0);
+              kv_no_sharing / 1024.0);
 
   std::FILE* json = std::fopen("BENCH_serve.json", "w");
   if (json != nullptr) {
@@ -289,7 +290,7 @@ int main() {
     std::fprintf(json, "  \"prefix_streams\": %d,\n", kStreams);
     std::fprintf(json, "  \"prefix_common_frac\": %.2f,\n",
                  static_cast<double>(kPrefixLen) / kPromptLen);
-    std::fprintf(json, "  \"prefill_tok_per_s_unpaged\": %.1f,\n",
+    std::fprintf(json, "  \"prefill_tok_per_s_no_prefix_cache\": %.1f,\n",
                  off_prefill_tps);
     std::fprintf(json, "  \"prefill_tok_per_s_prefix_cache\": %.1f,\n",
                  on_prefill_tps);
@@ -301,8 +302,8 @@ int main() {
                  static_cast<long long>(kv_logical));
     std::fprintf(json, "  \"kv_bytes_unique\": %lld,\n",
                  static_cast<long long>(kv_unique));
-    std::fprintf(json, "  \"kv_bytes_unpaged\": %lld,\n",
-                 static_cast<long long>(kv_unpaged));
+    std::fprintf(json, "  \"kv_bytes_no_sharing\": %lld,\n",
+                 static_cast<long long>(kv_no_sharing));
     std::fprintf(json, "  \"kv_bytes_saved_frac\": %.3f\n", kv_saved_frac);
     std::fprintf(json, "}\n");
     std::fclose(json);

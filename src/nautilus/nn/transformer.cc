@@ -15,49 +15,6 @@ constexpr float kLnEps = 1e-5f;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// KvEntry
-// ---------------------------------------------------------------------------
-
-void KvEntry::Reserve(int64_t h, int64_t d, int64_t min_cap) {
-  if (cap == 0) {
-    heads = h;
-    dh = d;
-  } else {
-    NAUTILUS_CHECK_EQ(heads, h);
-    NAUTILUS_CHECK_EQ(dh, d);
-  }
-  if (min_cap <= cap) return;
-  int64_t new_cap = std::max<int64_t>(cap * 2, 16);
-  while (new_cap < min_cap) new_cap *= 2;
-  Tensor nk = Tensor::Uninitialized(Shape({heads, new_cap, dh}));
-  Tensor nv = Tensor::Uninitialized(Shape({heads, new_cap, dh}));
-  if (len > 0) {
-    // Repack: the per-head plane stride changes with the capacity.
-    for (int64_t hd = 0; hd < heads; ++hd) {
-      std::copy(k.data() + hd * cap * dh, k.data() + (hd * cap + len) * dh,
-                nk.data() + hd * new_cap * dh);
-      std::copy(v.data() + hd * cap * dh, v.data() + (hd * cap + len) * dh,
-                nv.data() + hd * new_cap * dh);
-    }
-  }
-  k = std::move(nk);
-  v = std::move(nv);
-  cap = new_cap;
-}
-
-void KvEntry::Append(const float* k_row, const float* v_row) {
-  NAUTILUS_CHECK_GT(heads, 0) << "KvEntry::Reserve must run before Append";
-  Reserve(heads, dh, len + 1);
-  for (int64_t hd = 0; hd < heads; ++hd) {
-    std::copy(k_row + hd * dh, k_row + (hd + 1) * dh,
-              k.data() + (hd * cap + len) * dh);
-    std::copy(v_row + hd * dh, v_row + (hd + 1) * dh,
-              v.data() + (hd * cap + len) * dh);
-  }
-  ++len;
-}
-
-// ---------------------------------------------------------------------------
 // PagedKvEntry
 // ---------------------------------------------------------------------------
 
@@ -419,43 +376,26 @@ void TransformerBlockLayer::EnsureQuantWeights(quant::QuantMode mode) const {
 
 Tensor TransformerBlockLayer::ForwardQuantized(
     const std::vector<const Tensor*>& inputs) const {
-  const quant::QuantMode mode = quant::GlobalQuantMode();
-  if (mode == quant::QuantMode::kOff) return Forward(inputs, nullptr);
+  if (quant::GlobalQuantMode() == quant::QuantMode::kOff) {
+    return Forward(inputs, nullptr);
+  }
   NAUTILUS_CHECK_EQ(inputs.size(), 1u);
   const Tensor& x = *inputs[0];
   const Shape& xs = x.shape();
-  EnsureQuantWeights(mode);
 
   // Same dataflow as Forward, minus the backward cache (the executor only
   // routes here when no gradient ever visits this node); every dense
   // projection runs reduced-precision, attention/layer norm/residuals f32.
-  auto project = [&](size_t slot, const Tensor& in, const Parameter& b,
-                     ops::EpilogueKind kind) {
-    return mode == quant::QuantMode::kInt8
-               ? ops::QuantizedDenseForward(in, qweights_[slot], b.value, kind)
-               : ops::DenseForward(in, weights_f16_[slot], b.value, kind);
-  };
-  Tensor q = project(0, x, *bq_, ops::EpilogueKind::kBias).Reshaped(xs);
-  Tensor k = project(1, x, *bk_, ops::EpilogueKind::kBias).Reshaped(xs);
-  Tensor v = project(2, x, *bv_, ops::EpilogueKind::kBias).Reshaped(xs);
+  Tensor q = ServeProject(0, x, ops::EpilogueKind::kBias).Reshaped(xs);
+  Tensor k = ServeProject(1, x, ops::EpilogueKind::kBias).Reshaped(xs);
+  Tensor v = ServeProject(2, x, ops::EpilogueKind::kBias).Reshaped(xs);
   Tensor qh = ops::SplitHeads(q, heads_);
   Tensor kh = ops::SplitHeads(k, heads_);
   Tensor vh = ops::SplitHeads(v, heads_);
   // Cache-free attention: no backward ever visits this node, so allocating
   // (and immediately dropping) the O(b*heads*s^2) probability tensor of
   // AttentionForward would be pure waste.
-  Tensor merged = ops::MergeHeads(ops::AttentionInference(qh, kh, vh));
-  Tensor o = project(3, merged, *bo_, ops::EpilogueKind::kBias).Reshaped(xs);
-  Tensor r1 = ops::Add(x, o);
-  ops::LayerNormCache ln1;
-  Tensor h1 = ops::LayerNormForward(r1, ln1_gamma_->value, ln1_beta_->value,
-                                    kLnEps, &ln1);
-  Tensor g = project(4, h1, *b1_, ops::EpilogueKind::kBiasGelu);
-  Tensor z2 = project(5, g, *b2_, ops::EpilogueKind::kBias).Reshaped(xs);
-  Tensor r2 = ops::Add(h1, z2);
-  ops::LayerNormCache ln2;
-  return ops::LayerNormForward(r2, ln2_gamma_->value, ln2_beta_->value, kLnEps,
-                               &ln2);
+  return ServeFfnTail(x, ops::MergeHeads(ops::AttentionInference(qh, kh, vh)));
 }
 
 Tensor TransformerBlockLayer::ServeProject(size_t slot, const Tensor& in,
@@ -490,139 +430,40 @@ Tensor TransformerBlockLayer::ServeFfnTail(const Tensor& x,
                                &ln2);
 }
 
-Tensor TransformerBlockLayer::ServePrefill(const Tensor& x,
-                                           KvEntry* kv) const {
-  NAUTILUS_CHECK_EQ(x.shape().rank(), 2);
-  NAUTILUS_CHECK_EQ(x.shape().dim(1), hidden_);
-  NAUTILUS_CHECK_EQ(kv->len, 0) << "prefill requires an empty KV cache";
-  const int64_t s = x.shape().dim(0);
-  const int64_t dh = hidden_ / heads_;
-  Tensor q = ServeProject(0, x, ops::EpilogueKind::kBias);
-  Tensor k = ServeProject(1, x, ops::EpilogueKind::kBias);
-  Tensor v = ServeProject(2, x, ops::EpilogueKind::kBias);
-  kv->Reserve(heads_, dh, s);
-  for (int64_t i = 0; i < s; ++i) {
-    kv->Append(k.data() + i * hidden_, v.data() + i * hidden_);
-  }
-  // Causal attention straight against the cache planes. Row i of head h
-  // reads the first i+1 cached rows — the same AttentionRowKernel arithmetic
-  // a later DecodeStep uses, which is what makes decode bitwise-equal to
-  // this full-sequence pass.
-  Tensor attn = Tensor::Uninitialized(Shape({s, hidden_}));
-  const float* pq = q.data();
-  float* pa = attn.data();
-  const KvEntry& cache = *kv;
-  ParallelFor(s * heads_, [&](int64_t begin, int64_t end) {
-    std::vector<float> scratch(static_cast<size_t>(s));
-    for (int64_t ih = begin; ih < end; ++ih) {
-      const int64_t i = ih / heads_;
-      const int64_t h = ih % heads_;
-      ops::AttentionDecodeRow(pq + i * hidden_ + h * dh, cache.KHead(h),
-                              cache.VHead(h), /*len=*/i + 1, dh,
-                              scratch.data(), pa + i * hidden_ + h * dh);
-    }
-  });
-  return ServeFfnTail(x, attn);
-}
-
-Tensor TransformerBlockLayer::ServePrefillChunk(const Tensor& x,
-                                                PagedKvEntry* kv) const {
-  NAUTILUS_CHECK_EQ(x.shape().rank(), 2);
-  NAUTILUS_CHECK_EQ(x.shape().dim(1), hidden_);
-  NAUTILUS_CHECK(kv != nullptr);
-  const int64_t c = x.shape().dim(0);
-  const int64_t start = kv->len;
-  const int64_t dh = hidden_ / heads_;
-  NAUTILUS_CHECK_EQ(kv->heads, heads_);
-  NAUTILUS_CHECK_EQ(kv->dh, dh);
-  Tensor q = ServeProject(0, x, ops::EpilogueKind::kBias);
-  Tensor k = ServeProject(1, x, ops::EpilogueKind::kBias);
-  Tensor v = ServeProject(2, x, ops::EpilogueKind::kBias);
-  for (int64_t i = 0; i < c; ++i) {
-    kv->AppendRow(k.data() + i * hidden_, v.data() + i * hidden_);
-  }
-  // Causal attention through the page table: chunk row i (global position
-  // start + i) reads the first start + i + 1 cached rows — attached shared
-  // prefix pages, earlier chunks, and this chunk's own rows alike — via the
-  // same per-row kernel as every other attention path.
-  std::vector<const float*> k_pages, v_pages;
-  kv->CollectPageTable(&k_pages, &v_pages);
-  const int64_t page_rows = kv->page_rows;
-  Tensor attn = Tensor::Uninitialized(Shape({c, hidden_}));
-  const float* pq = q.data();
-  float* pa = attn.data();
-  ParallelFor(c * heads_, [&](int64_t begin, int64_t end) {
-    std::vector<float> scratch(static_cast<size_t>(start + c));
-    for (int64_t ih = begin; ih < end; ++ih) {
-      const int64_t i = ih / heads_;
-      const int64_t h = ih % heads_;
-      ops::AttentionDecodeRowPaged(
-          pq + i * hidden_ + h * dh, k_pages.data(), v_pages.data(),
-          /*head_offset=*/h * page_rows * dh, /*len=*/start + i + 1,
-          page_rows, dh, scratch.data(), pa + i * hidden_ + h * dh);
-    }
-  });
-  return ServeFfnTail(x, attn);
-}
-
-Tensor TransformerBlockLayer::ServeDecodeStep(
-    const Tensor& x, const std::vector<KvEntry*>& kvs) const {
-  NAUTILUS_CHECK_EQ(x.shape().rank(), 2);
-  NAUTILUS_CHECK_EQ(x.shape().dim(1), hidden_);
-  const int64_t n = x.shape().dim(0);
-  NAUTILUS_CHECK_EQ(static_cast<int64_t>(kvs.size()), n);
-  const int64_t dh = hidden_ / heads_;
-  // One fused (possibly quantized) GEMM per projection over all live
-  // streams: this is where continuous batching amortizes the per-step GEMV.
-  Tensor q = ServeProject(0, x, ops::EpilogueKind::kBias);
-  Tensor k = ServeProject(1, x, ops::EpilogueKind::kBias);
-  Tensor v = ServeProject(2, x, ops::EpilogueKind::kBias);
-  for (int64_t i = 0; i < n; ++i) {
-    kvs[i]->Reserve(heads_, dh, kvs[i]->len + 1);
-    kvs[i]->Append(k.data() + i * hidden_, v.data() + i * hidden_);
-  }
-  Tensor attn = Tensor::Uninitialized(Shape({n, hidden_}));
-  const float* pq = q.data();
-  float* pa = attn.data();
-  int64_t max_len = 0;
-  for (const KvEntry* e : kvs) max_len = std::max(max_len, e->len);
-  ParallelFor(n * heads_, [&](int64_t begin, int64_t end) {
-    std::vector<float> scratch(static_cast<size_t>(max_len));
-    for (int64_t ih = begin; ih < end; ++ih) {
-      const int64_t i = ih / heads_;
-      const int64_t h = ih % heads_;
-      const KvEntry& cache = *kvs[static_cast<size_t>(i)];
-      ops::AttentionDecodeRow(pq + i * hidden_ + h * dh, cache.KHead(h),
-                              cache.VHead(h), cache.len, dh, scratch.data(),
-                              pa + i * hidden_ + h * dh);
-    }
-  });
-  return ServeFfnTail(x, attn);
-}
-
-Tensor TransformerBlockLayer::ServeDecodeStep(
+Tensor TransformerBlockLayer::ServeRows(
     const Tensor& x, const std::vector<PagedKvEntry*>& kvs) const {
   NAUTILUS_CHECK_EQ(x.shape().rank(), 2);
   NAUTILUS_CHECK_EQ(x.shape().dim(1), hidden_);
   const int64_t n = x.shape().dim(0);
   NAUTILUS_CHECK_EQ(static_cast<int64_t>(kvs.size()), n);
   const int64_t dh = hidden_ / heads_;
-  // One fused (possibly quantized) GEMM per projection over all live
-  // streams, exactly like the unpaged path.
+  // One fused (possibly quantized) GEMM per projection over every row: this
+  // is where continuous batching amortizes the per-step GEMV.
   Tensor q = ServeProject(0, x, ops::EpilogueKind::kBias);
   Tensor k = ServeProject(1, x, ops::EpilogueKind::kBias);
   Tensor v = ServeProject(2, x, ops::EpilogueKind::kBias);
-  for (int64_t i = 0; i < n; ++i) {
-    kvs[i]->AppendRow(k.data() + i * hidden_, v.data() + i * hidden_);
+  std::vector<int64_t> lens(kvs.size());
+  for (size_t i = 0; i < kvs.size(); ++i) {
+    NAUTILUS_CHECK(kvs[i] != nullptr);
+    NAUTILUS_CHECK_EQ(kvs[i]->heads, heads_);
+    NAUTILUS_CHECK_EQ(kvs[i]->dh, dh);
+    const int64_t row = static_cast<int64_t>(i) * hidden_;
+    kvs[i]->AppendRow(k.data() + row, v.data() + row);
+    lens[i] = kvs[i]->len;
   }
-  // Per-stream page tables, built once outside the row loop.
-  std::vector<std::vector<const float*>> k_pages(static_cast<size_t>(n));
-  std::vector<std::vector<const float*>> v_pages(static_cast<size_t>(n));
+  // One page table per run of rows sharing an entry, built after every
+  // append so fresh and copied-on-write pages are already in place.
+  std::vector<std::vector<const float*>> k_pages, v_pages;
+  std::vector<size_t> table(kvs.size());
   int64_t max_len = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    kvs[static_cast<size_t>(i)]->CollectPageTable(
-        &k_pages[static_cast<size_t>(i)], &v_pages[static_cast<size_t>(i)]);
-    max_len = std::max(max_len, kvs[static_cast<size_t>(i)]->len);
+  for (size_t i = 0; i < kvs.size(); ++i) {
+    if (i == 0 || kvs[i] != kvs[i - 1]) {
+      k_pages.emplace_back();
+      v_pages.emplace_back();
+      kvs[i]->CollectPageTable(&k_pages.back(), &v_pages.back());
+    }
+    table[i] = k_pages.size() - 1;
+    max_len = std::max(max_len, lens[i]);
   }
   Tensor attn = Tensor::Uninitialized(Shape({n, hidden_}));
   const float* pq = q.data();
@@ -632,12 +473,12 @@ Tensor TransformerBlockLayer::ServeDecodeStep(
     for (int64_t ih = begin; ih < end; ++ih) {
       const int64_t i = ih / heads_;
       const int64_t h = ih % heads_;
-      const PagedKvEntry& cache = *kvs[static_cast<size_t>(i)];
+      const size_t t = table[static_cast<size_t>(i)];
+      const int64_t page_rows = kvs[static_cast<size_t>(i)]->page_rows;
       ops::AttentionDecodeRowPaged(
-          pq + i * hidden_ + h * dh, k_pages[static_cast<size_t>(i)].data(),
-          v_pages[static_cast<size_t>(i)].data(),
-          /*head_offset=*/h * cache.page_rows * dh, cache.len,
-          cache.page_rows, dh, scratch.data(), pa + i * hidden_ + h * dh);
+          pq + i * hidden_ + h * dh, k_pages[t].data(), v_pages[t].data(),
+          /*head_offset=*/h * page_rows * dh, lens[static_cast<size_t>(i)],
+          page_rows, dh, scratch.data(), pa + i * hidden_ + h * dh);
     }
   });
   return ServeFfnTail(x, attn);

@@ -15,31 +15,6 @@
 namespace nautilus {
 namespace nn {
 
-/// Per-(stream, block) key/value cache for autoregressive decode. `k` and
-/// `v` hold [heads, cap, dh] planes whose first `len` rows per head are
-/// valid; storage is pool-rented (Tensor::Uninitialized) and doubles on
-/// growth, so appending one position per decode step is amortized O(1) and
-/// allocation-free in steady state.
-struct KvEntry {
-  Tensor k, v;  // [heads, cap, dh]
-  int64_t heads = 0;
-  int64_t dh = 0;
-  int64_t len = 0;
-  int64_t cap = 0;
-
-  /// Ensures room for at least `min_cap` positions of [heads, dh] rows.
-  /// First call fixes the head geometry; later calls must match it.
-  void Reserve(int64_t heads, int64_t dh, int64_t min_cap);
-
-  /// Appends one position. `k_row`/`v_row` are [heads*dh] in merged layout
-  /// (head h at offset h*dh), i.e. one row of the K/V projection output.
-  void Append(const float* k_row, const float* v_row);
-
-  /// First valid row of head h's contiguous [cap, dh] plane.
-  const float* KHead(int64_t h) const { return k.data() + h * cap * dh; }
-  const float* VHead(int64_t h) const { return v.data() + h * cap * dh; }
-};
-
 /// One fixed-size KV page: `page_rows` positions of [heads, dh] K and V
 /// rows, laid out as [heads, page_rows, dh] planes (head h's plane starts at
 /// offset h * page_rows * dh). Storage is pool-rented
@@ -71,9 +46,10 @@ struct PagedKvEntry {
   /// Fixes the geometry. Must run once before any append/attach.
   void Init(int64_t heads, int64_t dh, int64_t page_rows);
 
-  /// Appends one position (same merged [heads*dh] row layout as
-  /// KvEntry::Append). Allocates a fresh page at page boundaries; triggers
-  /// copy-on-write when the tail page is shared.
+  /// Appends one position. `k_row`/`v_row` are [heads*dh] in merged layout
+  /// (head h at offset h*dh), i.e. one row of the K/V projection output.
+  /// Allocates a fresh page at page boundaries; triggers copy-on-write when
+  /// the tail page is shared.
   void AppendRow(const float* k_row, const float* v_row);
 
   /// Attaches `rows` (1 <= rows <= page_rows) positions of `page` by
@@ -175,35 +151,20 @@ class TransformerBlockLayer : public Layer {
   Tensor ForwardQuantized(
       const std::vector<const Tensor*>& inputs) const override;
 
-  /// Serving prefill: x is [s, hidden] (ONE stream's prompt), self-attention
-  /// is causal, and all s key/value rows are appended to `kv` (which must be
-  /// empty). Returns [s, hidden]. Dense projections honor
-  /// quant::GlobalQuantMode() exactly like ForwardQuantized.
-  Tensor ServePrefill(const Tensor& x, KvEntry* kv) const;
-
-  /// Paged chunked prefill: x is [c, hidden], the next c positions of ONE
-  /// stream's prompt, starting at position kv->len (0 for the first chunk,
-  /// or past an attached shared prefix). Appends c K/V rows to the paged
-  /// cache and runs causal attention of each new row against everything
-  /// cached before it (attached prefix + earlier chunk rows + this chunk).
-  /// Returns [c, hidden]; row i is bitwise-equal to row kv->len_before + i
-  /// of an unpaged full-prompt ServePrefill — chunking and page layout never
-  /// change serving output.
-  Tensor ServePrefillChunk(const Tensor& x, PagedKvEntry* kv) const;
-
-  /// Serving decode step: x is [n, hidden], one new-position row per live
-  /// stream, kvs[i] the i-th stream's cache for this block. Appends one K/V
-  /// row per stream and attends each row against its own cache. Returns
-  /// [n, hidden]. Row i is bitwise-equal to the last row of ServePrefill
-  /// over that stream's full sequence, regardless of which other streams
-  /// share the batch — the property continuous batching relies on.
-  Tensor ServeDecodeStep(const Tensor& x,
-                         const std::vector<KvEntry*>& kvs) const;
-
-  /// Paged variant of ServeDecodeStep, reading K/V through each stream's
-  /// page table. Bitwise-equal to the unpaged path over the same positions.
-  Tensor ServeDecodeStep(const Tensor& x,
-                         const std::vector<PagedKvEntry*>& kvs) const;
+  /// The serving forward: x is [n, hidden] and row i is the next position
+  /// of the stream that kvs[i] caches for this block. A prefill chunk passes
+  /// one entry c times; a decode step passes one entry per live stream.
+  /// Every row's K/V is appended first; row i then attends causally over the
+  /// first `len` positions of its stream, `len` being the stream's length
+  /// just after row i was appended. Returns [n, hidden]. Dense projections
+  /// honor quant::GlobalQuantMode() exactly like ForwardQuantized.
+  ///
+  /// Row i is bitwise-equal to the matching row of a whole-prompt pass,
+  /// whatever the chunking, the page size, or which other streams share the
+  /// call: every row runs the same per-row attention kernel over the same
+  /// positions in the same order.
+  Tensor ServeRows(const Tensor& x,
+                   const std::vector<PagedKvEntry*>& kvs) const;
   std::vector<Tensor> Backward(const Tensor& grad_out,
                                const std::vector<const Tensor*>& inputs,
                                const LayerCache& cache) override;
@@ -219,14 +180,14 @@ class TransformerBlockLayer : public Layer {
   // wv, wo, w1, w2.
   void EnsureQuantWeights(quant::QuantMode mode) const;
 
-  // Fused dense projection for the serving paths: slot indexes the
-  // EnsureQuantWeights order, and the weight is taken from the f32 value,
+  // Fused dense projection for ServeRows and ForwardQuantized: slot indexes
+  // the EnsureQuantWeights order, and the weight is taken from the f32 value,
   // the int8 cache, or the f16 cache according to the global quant mode.
   Tensor ServeProject(size_t slot, const Tensor& in,
                       ops::EpilogueKind kind) const;
 
-  // Shared tail of ServePrefill/ServeDecodeStep: attention-out projection,
-  // residuals, layer norms, and the fused FFN over [rows, hidden].
+  // Shared tail of ServeRows/ForwardQuantized: attention-out projection,
+  // residuals, layer norms, and the fused FFN.
   Tensor ServeFfnTail(const Tensor& x, const Tensor& attn_merged) const;
 
   int64_t hidden_;

@@ -42,7 +42,6 @@ Engine::Engine(const zoo::BertLikeModel& model, const EngineOptions& opts)
   const zoo::BertConfig& cfg = model_.config();
   NAUTILUS_CHECK_GE(opts_.num_adapters, 0);
   NAUTILUS_CHECK_LE(opts_.num_adapters, cfg.num_blocks);
-  NAUTILUS_CHECK_GT(opts_.initial_kv_cap, 0);
   NAUTILUS_CHECK_GT(opts_.page_rows, 0);
   adapters_.resize(static_cast<size_t>(cfg.num_blocks));
   if (opts_.num_adapters > 0) {
@@ -56,7 +55,7 @@ Engine::Engine(const zoo::BertLikeModel& model, const EngineOptions& opts)
           /*bottleneck=*/std::max<int64_t>(cfg.hidden / 8, 2), &rng);
     }
   }
-  if (opts_.paged && opts_.prefix_cache) {
+  if (opts_.prefix_cache) {
     PrefixCache::Options popts;
     popts.page_rows = opts_.page_rows;
     popts.num_blocks = cfg.num_blocks;
@@ -67,13 +66,34 @@ Engine::Engine(const zoo::BertLikeModel& model, const EngineOptions& opts)
 
 std::unique_ptr<KvCache> Engine::NewCache() const {
   const zoo::BertConfig& cfg = model_.config();
-  const int64_t dh = cfg.hidden / cfg.heads;
-  if (opts_.paged) {
-    return std::make_unique<KvCache>(
-        KvCache::Paged(cfg.num_blocks, cfg.heads, dh, opts_.page_rows));
+  return std::make_unique<KvCache>(cfg.num_blocks, cfg.heads,
+                                   cfg.hidden / cfg.heads, opts_.page_rows);
+}
+
+void Engine::CheckCache(const KvCache* cache) const {
+  NAUTILUS_CHECK(cache != nullptr);
+  NAUTILUS_CHECK_EQ(cache->num_blocks(), num_blocks());
+  NAUTILUS_CHECK_EQ(cache->page_rows(), opts_.page_rows)
+      << "cache page geometry does not match the engine";
+}
+
+Tensor Engine::ServeRows(const int64_t* tokens, const int64_t* positions,
+                         const std::vector<KvCache*>& caches) const {
+  const size_t n = caches.size();
+  Tensor h = model_.embedding()->ServeEmbedRows(tokens, positions,
+                                                static_cast<int64_t>(n));
+  const auto& blocks = model_.blocks();
+  std::vector<nn::PagedKvEntry*> kvs(n);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t i = 0; i < n; ++i) {
+      kvs[i] = caches[i]->entry(static_cast<int64_t>(b));
+    }
+    h = blocks[b]->ServeRows(h, kvs);
+    if (adapters_[b] != nullptr) {
+      h = adapters_[b]->Forward({&h}, /*cache=*/nullptr);
+    }
   }
-  return std::make_unique<KvCache>(cfg.num_blocks, cfg.heads, dh,
-                                   opts_.initial_kv_cap);
+  return h;
 }
 
 Tensor Engine::Logits(const Tensor& h) const {
@@ -83,7 +103,7 @@ Tensor Engine::Logits(const Tensor& h) const {
 
 int64_t Engine::BeginPrefill(const int64_t* tokens, int64_t n,
                              KvCache* cache) const {
-  NAUTILUS_CHECK(cache != nullptr && cache->paged());
+  CheckCache(cache);
   NAUTILUS_CHECK_EQ(cache->len(), 0);
   NAUTILUS_CHECK_GE(n, 1);
   NAUTILUS_CHECK_LE(n, max_len());
@@ -107,25 +127,17 @@ int64_t Engine::BeginPrefill(const int64_t* tokens, int64_t n,
 Tensor Engine::PrefillChunk(const int64_t* tokens, int64_t c, KvCache* cache,
                             bool want_logits) const {
   obs::TraceScope span("serve", "serve.prefill_chunk");
-  NAUTILUS_CHECK(cache != nullptr && cache->paged());
+  CheckCache(cache);
   NAUTILUS_CHECK_GE(c, 1);
   const int64_t start = cache->len();
   NAUTILUS_CHECK_LE(start + c, max_len());
-  NAUTILUS_CHECK_EQ(cache->num_blocks(), num_blocks());
 
   std::vector<int64_t> positions(static_cast<size_t>(c));
   for (int64_t i = 0; i < c; ++i) {
     positions[static_cast<size_t>(i)] = start + i;
   }
-  Tensor h = model_.embedding()->ServeEmbedRows(tokens, positions.data(), c);
-  const auto& blocks = model_.blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    h = blocks[b]->ServePrefillChunk(h,
-                                     cache->paged_entry(static_cast<int64_t>(b)));
-    if (adapters_[b] != nullptr) {
-      h = adapters_[b]->Forward({&h}, /*cache=*/nullptr);
-    }
-  }
+  Tensor h = ServeRows(tokens, positions.data(),
+                       std::vector<KvCache*>(static_cast<size_t>(c), cache));
   if (!want_logits) return Tensor();
   // Only the final position feeds generation; slice it before the LM head.
   const int64_t hidden = h.shape().dim(1);
@@ -136,7 +148,7 @@ Tensor Engine::PrefillChunk(const int64_t* tokens, int64_t c, KvCache* cache,
 
 void Engine::FinishPrefill(const int64_t* tokens, int64_t n,
                            KvCache* cache) const {
-  NAUTILUS_CHECK(cache != nullptr && cache->paged());
+  CheckCache(cache);
   NAUTILUS_CHECK_EQ(cache->len(), n) << "prefill did not cover the prompt";
   if (prefix_cache_ == nullptr) return;
   prefix_cache_->Insert(tokens, n,
@@ -147,85 +159,24 @@ void Engine::FinishPrefill(const int64_t* tokens, int64_t n,
 Tensor Engine::Prefill(const int64_t* tokens, int64_t n,
                        KvCache* cache) const {
   obs::TraceScope span("serve", "serve.prefill");
-  NAUTILUS_CHECK_GE(n, 1);
-  NAUTILUS_CHECK_LE(n, max_len());
-  NAUTILUS_CHECK(cache != nullptr);
-  NAUTILUS_CHECK_EQ(cache->len(), 0);
-  NAUTILUS_CHECK_EQ(cache->num_blocks(), num_blocks());
-  NAUTILUS_CHECK_EQ(cache->paged(), opts_.paged)
-      << "cache storage mode does not match the engine";
-
-  if (cache->paged()) {
-    const int64_t start = BeginPrefill(tokens, n, cache);
-    Tensor logits =
-        PrefillChunk(tokens + start, n - start, cache, /*want_logits=*/true);
-    FinishPrefill(tokens, n, cache);
-    return logits;
-  }
-
-  // Unpaged (PR 9) path: one contiguous causal pass over the whole prompt.
-  std::vector<int64_t> positions(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) positions[static_cast<size_t>(i)] = i;
-  Tensor h = model_.embedding()->ServeEmbedRows(tokens, positions.data(), n);
-  const auto& blocks = model_.blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    h = blocks[b]->ServePrefill(h, cache->entry(static_cast<int64_t>(b)));
-    if (adapters_[b] != nullptr) {
-      h = adapters_[b]->Forward({&h}, /*cache=*/nullptr);
-    }
-  }
-  // Only the final position feeds generation; slice it before the LM head.
-  const int64_t hidden = h.shape().dim(1);
-  Tensor last = Tensor::Uninitialized({1, hidden});
-  std::copy(h.data() + (n - 1) * hidden, h.data() + n * hidden, last.data());
-  return Logits(last);
+  const int64_t start = BeginPrefill(tokens, n, cache);
+  Tensor logits =
+      PrefillChunk(tokens + start, n - start, cache, /*want_logits=*/true);
+  FinishPrefill(tokens, n, cache);
+  return logits;
 }
 
 Tensor Engine::DecodeStep(const int64_t* last_tokens,
                           const std::vector<KvCache*>& caches) const {
-  const int64_t n = static_cast<int64_t>(caches.size());
-  NAUTILUS_CHECK_GE(n, 1);
-  std::vector<int64_t> positions(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    KvCache* cache = caches[static_cast<size_t>(i)];
-    NAUTILUS_CHECK(cache != nullptr);
-    NAUTILUS_CHECK_EQ(cache->num_blocks(), num_blocks());
-    NAUTILUS_CHECK_EQ(cache->paged(), opts_.paged);
-    NAUTILUS_CHECK_GE(cache->len(), 1);
-    NAUTILUS_CHECK_LT(cache->len(), max_len());
-    positions[static_cast<size_t>(i)] = cache->len();
+  NAUTILUS_CHECK(!caches.empty());
+  std::vector<int64_t> positions(caches.size());
+  for (size_t i = 0; i < caches.size(); ++i) {
+    CheckCache(caches[i]);
+    NAUTILUS_CHECK_GE(caches[i]->len(), 1);
+    NAUTILUS_CHECK_LT(caches[i]->len(), max_len());
+    positions[i] = caches[i]->len();
   }
-
-  Tensor h =
-      model_.embedding()->ServeEmbedRows(last_tokens, positions.data(), n);
-  const auto& blocks = model_.blocks();
-  if (opts_.paged) {
-    std::vector<nn::PagedKvEntry*> kvs(static_cast<size_t>(n));
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      for (int64_t i = 0; i < n; ++i) {
-        kvs[static_cast<size_t>(i)] =
-            caches[static_cast<size_t>(i)]->paged_entry(
-                static_cast<int64_t>(b));
-      }
-      h = blocks[b]->ServeDecodeStep(h, kvs);
-      if (adapters_[b] != nullptr) {
-        h = adapters_[b]->Forward({&h}, /*cache=*/nullptr);
-      }
-    }
-    return Logits(h);
-  }
-  std::vector<nn::KvEntry*> kvs(static_cast<size_t>(n));
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    for (int64_t i = 0; i < n; ++i) {
-      kvs[static_cast<size_t>(i)] =
-          caches[static_cast<size_t>(i)]->entry(static_cast<int64_t>(b));
-    }
-    h = blocks[b]->ServeDecodeStep(h, kvs);
-    if (adapters_[b] != nullptr) {
-      h = adapters_[b]->Forward({&h}, /*cache=*/nullptr);
-    }
-  }
-  return Logits(h);
+  return Logits(ServeRows(last_tokens, positions.data(), caches));
 }
 
 }  // namespace serve

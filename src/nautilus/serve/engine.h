@@ -21,24 +21,17 @@ struct EngineOptions {
   int64_t num_adapters = 0;
   uint64_t adapter_seed = 1234;
 
-  /// Paged KV storage (the default): fixed-size pages rented from the
-  /// tensor buffer pool, shareable across streams. false selects the
-  /// contiguous doubling layout (the PR 9 path, kept as the bitwise parity
-  /// baseline — both layouts produce identical logits).
-  bool paged = true;
-  /// Positions per KV page (paged mode). Smaller pages share shorter common
-  /// prefixes but cost more page-table entries.
+  /// Positions per KV page: fixed-size pages rented from the tensor buffer
+  /// pool, shareable across streams. Smaller pages share shorter common
+  /// prefixes but cost more page-table entries; the page size never changes
+  /// the produced logits.
   int64_t page_rows = 64;
   /// Shared-prefix reuse: cache full prompt pages in a per-model radix trie
   /// and attach them by reference to later prompts with the same prefix, so
-  /// the shared rows prefill exactly once. Paged mode only.
+  /// the shared rows prefill exactly once.
   bool prefix_cache = true;
   /// Byte budget for trie-retained pages (LRU eviction past it).
   int64_t prefix_cache_mb = 64;
-
-  /// Initial KV capacity (positions) rented per stream in unpaged mode;
-  /// grows by doubling.
-  int64_t initial_kv_cap = 16;
 };
 
 /// Autoregressive generation over the selected BERT-like model: embedding +
@@ -58,29 +51,29 @@ class Engine {
   /// Hard generation-length bound: the positional table has seq_len rows.
   int64_t max_len() const { return model_.config().seq_len; }
   int64_t num_blocks() const { return model_.config().num_blocks; }
-  bool paged() const { return opts_.paged; }
   int64_t page_rows() const { return opts_.page_rows; }
-  /// Null when disabled (or unpaged).
+  /// Null when disabled.
   const PrefixCache* prefix_cache() const { return prefix_cache_.get(); }
 
-  /// Fresh empty cache shaped for this model (paged or unpaged per options).
+  /// Fresh empty cache shaped for this model and page size. Every method
+  /// below rejects a cache whose page geometry is not this engine's.
   std::unique_ptr<KvCache> NewCache() const;
 
   /// Runs an n-token prompt (1 <= n <= max_len) through the model, filling
   /// `cache` (which must be empty). Returns the last position's logits
-  /// [1, vocab]. In paged mode this is BeginPrefill + one PrefillChunk +
-  /// FinishPrefill: a cached shared prefix is attached by reference and only
-  /// the remaining rows are computed — bitwise-identical logits either way.
+  /// [1, vocab]. This is BeginPrefill + one PrefillChunk + FinishPrefill: a
+  /// cached shared prefix is attached by reference and only the remaining
+  /// rows are computed — bitwise-identical logits either way.
   Tensor Prefill(const int64_t* tokens, int64_t n, KvCache* cache) const;
 
-  /// Chunked prefill (paged caches only), for interleaving long prompts
-  /// with decode steps. BeginPrefill consults the prefix cache and returns
-  /// the resume position (rows attached by reference; 0 on a miss).
-  /// PrefillChunk then advances the prompt by c tokens (tokens points at
-  /// the chunk, positions cache->len()..cache->len()+c-1); it returns the
-  /// chunk's last-row logits when want_logits (the final chunk), else an
-  /// empty tensor. FinishPrefill publishes the prompt's full pages to the
-  /// prefix cache. Chunk boundaries never change the produced logits.
+  /// Chunked prefill, for interleaving long prompts with decode steps.
+  /// BeginPrefill consults the prefix cache and returns the resume position
+  /// (rows attached by reference; 0 on a miss). PrefillChunk then advances
+  /// the prompt by c tokens (tokens points at the chunk, positions
+  /// cache->len()..cache->len()+c-1); it returns the chunk's last-row
+  /// logits when want_logits (the final chunk), else an empty tensor.
+  /// FinishPrefill publishes the prompt's full pages to the prefix cache.
+  /// Chunk boundaries never change the produced logits.
   int64_t BeginPrefill(const int64_t* tokens, int64_t n, KvCache* cache) const;
   Tensor PrefillChunk(const int64_t* tokens, int64_t c, KvCache* cache,
                       bool want_logits) const;
@@ -94,6 +87,14 @@ class Engine {
                     const std::vector<KvCache*>& caches) const;
 
  private:
+  // Dies unless `cache` has this engine's block count and page geometry.
+  void CheckCache(const KvCache* cache) const;
+  // The one serving forward: embeds (tokens[i], positions[i]), runs every
+  // block's ServeRows with caches[i] as row i's stream (a prefill chunk
+  // repeats one cache, a decode step lists one per stream), applies the
+  // adapters, and returns the final hidden rows [n, hidden].
+  Tensor ServeRows(const int64_t* tokens, const int64_t* positions,
+                   const std::vector<KvCache*>& caches) const;
   Tensor Logits(const Tensor& h) const;
 
   const zoo::BertLikeModel& model_;

@@ -4,43 +4,24 @@ namespace nautilus {
 namespace serve {
 
 KvCache::KvCache(int64_t num_blocks, int64_t heads, int64_t head_dim,
-                 int64_t initial_cap) {
-  entries_.resize(static_cast<size_t>(num_blocks));
-  for (nn::KvEntry& e : entries_) {
-    e.Reserve(heads, head_dim, initial_cap);
-  }
-}
-
-KvCache KvCache::Paged(int64_t num_blocks, int64_t heads, int64_t head_dim,
-                       int64_t page_rows) {
-  KvCache cache;
-  cache.paged_ = true;
-  cache.paged_entries_.resize(static_cast<size_t>(num_blocks));
-  for (nn::PagedKvEntry& e : cache.paged_entries_) {
-    e.Init(heads, head_dim, page_rows);
-  }
-  return cache;
+                 int64_t page_rows)
+    : page_rows_(page_rows), entries_(static_cast<size_t>(num_blocks)) {
+  for (nn::PagedKvEntry& e : entries_) e.Init(heads, head_dim, page_rows);
 }
 
 int64_t KvCache::len() const {
-  if (paged_) return paged_entries_.empty() ? 0 : paged_entries_[0].len;
   return entries_.empty() ? 0 : entries_[0].len;
 }
 
 int64_t KvCache::SizeBytes() const {
   int64_t total = 0;
-  for (const nn::KvEntry& e : entries_) {
-    total += e.k.SizeBytes() + e.v.SizeBytes();
-  }
-  for (const nn::PagedKvEntry& e : paged_entries_) {
-    total += e.SizeBytes();
-  }
+  for (const nn::PagedKvEntry& e : entries_) total += e.SizeBytes();
   return total;
 }
 
 int64_t KvCache::SharedPages() const {
   int64_t shared = 0;
-  for (const nn::PagedKvEntry& e : paged_entries_) {
+  for (const nn::PagedKvEntry& e : entries_) {
     for (const std::shared_ptr<nn::KvPage>& p : e.pages) {
       if (p.use_count() > 1) ++shared;
     }
@@ -49,9 +30,8 @@ int64_t KvCache::SharedPages() const {
 }
 
 int64_t KvCache::OwnedBytes() const {
-  if (!paged_) return SizeBytes();
   int64_t owned = 0;
-  for (const nn::PagedKvEntry& e : paged_entries_) {
+  for (const nn::PagedKvEntry& e : entries_) {
     for (const std::shared_ptr<nn::KvPage>& p : e.pages) {
       if (p.use_count() == 1) owned += p->SizeBytes();
     }

@@ -9,44 +9,26 @@
 namespace nautilus {
 namespace serve {
 
-/// Per-stream KV cache: one entry per transformer block, all advancing in
-/// lockstep (every block appends exactly one position per decode step), so
-/// `len()` is the number of positions the stream has run through the model.
-///
-/// Two storage modes, fixed at construction:
-///  - **paged** (the default serving path): each block holds a
-///    `nn::PagedKvEntry` — fixed-size pages rented from the tensor buffer
-///    pool, shareable between streams by reference (the prefix cache), with
-///    copy-on-write on divergence.
-///  - **unpaged** (the PR 9 layout, kept as the bitwise parity baseline):
-///    each block holds a `nn::KvEntry` with contiguous doubling storage.
+/// Per-stream KV cache: one `nn::PagedKvEntry` per transformer block, all
+/// advancing in lockstep (every block appends exactly one position per
+/// served row), so `len()` is the number of positions the stream has run
+/// through the model. Positions live in fixed pages of `page_rows` rows
+/// rented from the tensor buffer pool, shareable between streams by
+/// reference (the prefix cache), with copy-on-write on divergence.
 class KvCache {
  public:
-  /// Unpaged: contiguous [heads, cap, dh] planes with doubling growth.
   KvCache(int64_t num_blocks, int64_t heads, int64_t head_dim,
-          int64_t initial_cap);
+          int64_t page_rows);
 
-  /// Paged: fixed pages of `page_rows` positions, allocated on demand.
-  static KvCache Paged(int64_t num_blocks, int64_t heads, int64_t head_dim,
-                       int64_t page_rows);
-
-  bool paged() const { return paged_; }
-
-  int64_t num_blocks() const {
-    return paged_ ? static_cast<int64_t>(paged_entries_.size())
-                  : static_cast<int64_t>(entries_.size());
-  }
-  nn::KvEntry* entry(int64_t block) {
+  int64_t num_blocks() const { return static_cast<int64_t>(entries_.size()); }
+  /// Positions per page. A cache may only be served by an engine (and
+  /// shared through a prefix cache) with the same page geometry.
+  int64_t page_rows() const { return page_rows_; }
+  nn::PagedKvEntry* entry(int64_t block) {
     return &entries_[static_cast<size_t>(block)];
   }
-  const nn::KvEntry& entry(int64_t block) const {
+  const nn::PagedKvEntry& entry(int64_t block) const {
     return entries_[static_cast<size_t>(block)];
-  }
-  nn::PagedKvEntry* paged_entry(int64_t block) {
-    return &paged_entries_[static_cast<size_t>(block)];
-  }
-  const nn::PagedKvEntry& paged_entry(int64_t block) const {
-    return paged_entries_[static_cast<size_t>(block)];
   }
 
   /// Cached positions (identical across blocks; 0 when empty).
@@ -57,18 +39,15 @@ class KvCache {
   /// deduplicated accounting.
   int64_t SizeBytes() const;
 
-  /// Paged mode only: pages referenced by at least one other owner (the
-  /// prefix trie or another stream), and bytes of pages this cache is the
-  /// sole owner of. SharedBytes = SizeBytes - OwnedBytes.
+  /// Pages referenced by at least one other owner (the prefix trie or
+  /// another stream), and bytes of pages this cache is the sole owner of.
+  /// SharedBytes = SizeBytes - OwnedBytes.
   int64_t SharedPages() const;
   int64_t OwnedBytes() const;
 
  private:
-  KvCache() = default;
-
-  bool paged_ = false;
-  std::vector<nn::KvEntry> entries_;
-  std::vector<nn::PagedKvEntry> paged_entries_;
+  int64_t page_rows_;
+  std::vector<nn::PagedKvEntry> entries_;
 };
 
 }  // namespace serve

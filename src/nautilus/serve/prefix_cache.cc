@@ -24,9 +24,10 @@ int64_t PrefixCache::NodeBytes(const Node& node) const {
 PrefixCache::AttachResult PrefixCache::Attach(const int64_t* tokens, int64_t n,
                                               int64_t limit, uint64_t variant,
                                               KvCache* cache) {
-  NAUTILUS_CHECK(cache != nullptr && cache->paged());
+  NAUTILUS_CHECK(cache != nullptr);
   NAUTILUS_CHECK_EQ(cache->len(), 0) << "attach requires an empty cache";
   NAUTILUS_CHECK_EQ(cache->num_blocks(), opts_.num_blocks);
+  NAUTILUS_CHECK_EQ(cache->page_rows(), opts_.page_rows);
   AttachResult result;
   if (limit > n) limit = n;
 
@@ -58,7 +59,7 @@ PrefixCache::AttachResult PrefixCache::Attach(const int64_t* tokens, int64_t n,
     if (best == nullptr) break;
     best->last_use = ++tick_;
     for (int64_t b = 0; b < opts_.num_blocks; ++b) {
-      cache->paged_entry(b)->AttachShared(
+      cache->entry(b)->AttachShared(
           best->pages[static_cast<size_t>(b)], best_match);
     }
     result.rows += best_match;
@@ -73,9 +74,9 @@ PrefixCache::AttachResult PrefixCache::Attach(const int64_t* tokens, int64_t n,
 
 void PrefixCache::Insert(const int64_t* tokens, int64_t n, uint64_t variant,
                          const KvCache& cache) {
-  NAUTILUS_CHECK(cache.paged());
   NAUTILUS_CHECK_GE(cache.len(), n);
   NAUTILUS_CHECK_EQ(cache.num_blocks(), opts_.num_blocks);
+  NAUTILUS_CHECK_EQ(cache.page_rows(), opts_.page_rows);
   const int64_t full_chunks = n / opts_.page_rows;
   if (full_chunks == 0) return;
 
@@ -97,7 +98,7 @@ void PrefixCache::Insert(const int64_t* tokens, int64_t n, uint64_t variant,
       fresh->pages.reserve(static_cast<size_t>(opts_.num_blocks));
       for (int64_t b = 0; b < opts_.num_blocks; ++b) {
         fresh->pages.push_back(
-            cache.paged_entry(b).pages[static_cast<size_t>(c)]);
+            cache.entry(b).pages[static_cast<size_t>(c)]);
       }
       next = fresh.get();
       cached_bytes_ += NodeBytes(*fresh);

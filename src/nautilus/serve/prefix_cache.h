@@ -47,7 +47,8 @@ class PrefixCache {
   explicit PrefixCache(const Options& opts);
 
   /// Attaches up to `limit` leading positions of `tokens` to `cache` (which
-  /// must be empty and paged) from cached page runs. Thread-safe.
+  /// must be empty, with this trie's page_rows) from cached page runs.
+  /// Thread-safe.
   AttachResult Attach(const int64_t* tokens, int64_t n, int64_t limit,
                       uint64_t variant, KvCache* cache);
 

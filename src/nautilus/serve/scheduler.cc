@@ -108,10 +108,6 @@ RequestScheduler::RequestScheduler(const Engine& engine,
   NAUTILUS_CHECK_GE(opts_.max_batch, 1);
   NAUTILUS_CHECK_GE(opts_.queue_capacity, 1);
   NAUTILUS_CHECK_GE(opts_.prefill_chunk, 0);
-  if (opts_.prefill_chunk > 0) {
-    NAUTILUS_CHECK(engine.paged())
-        << "chunked prefill requires a paged engine";
-  }
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 

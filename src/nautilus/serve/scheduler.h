@@ -53,7 +53,7 @@ struct SchedulerStepInfo {
 struct SchedulerOptions {
   int64_t max_batch = 8;        // live streams batched into one step
   int64_t queue_capacity = 64;  // Submit blocks past this (backpressure)
-  /// Chunked prefill (paged engines only): split prompts into chunks of at
+  /// Chunked prefill: split prompts into chunks of at
   /// most this many rows and run at most ONE chunk per scheduler iteration,
   /// interleaved with the batched decode step — a long prompt can then delay
   /// a live stream's next decode by one chunk, not a whole prompt. 0 keeps

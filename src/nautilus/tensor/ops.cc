@@ -802,12 +802,12 @@ namespace {
 // Softmax(q K^T * scale) V for ONE query row over its first `valid` key
 // rows. This is the single arithmetic definition of an attention row:
 // Every attention path (AttentionForward, AttentionInference,
-// AttentionDecodeRow, AttentionDecodeRowPaged) funnels here, which is what
-// makes incremental KV-cache decode bitwise-equal to the full-sequence
-// forward — paged or not. Key/value position j resolves through a page
-// table: `k_pages[j / page_rows] + head_off + (j % page_rows) * dh`; the
-// contiguous callers pass a single page spanning all rows, so both layouts
-// execute the exact float sequence of the historical inline kernel
+// AttentionDecodeRowPaged) funnels here, which is what makes incremental
+// KV-cache decode bitwise-equal to the full-sequence forward at any page
+// size. Key/value position j resolves through a page table:
+// `k_pages[j / page_rows] + head_off + (j % page_rows) * dh`; the
+// contiguous callers pass a single page spanning all rows, so every layout
+// executes the exact float sequence of the historical inline kernel
 // (score+max pass, exp+sum pass, normalize+accumulate pass, each in
 // ascending j).
 //
@@ -954,13 +954,6 @@ Tensor AttentionInference(const Tensor& q, const Tensor& k, const Tensor& v,
   }
   });
   return out;
-}
-
-void AttentionDecodeRow(const float* q_row, const float* k_rows,
-                        const float* v_rows, int64_t len, int64_t dh,
-                        float* scratch, float* out_row) {
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  AttentionRowKernel(q_row, k_rows, v_rows, len, dh, scale, scratch, out_row);
 }
 
 void AttentionDecodeRowPaged(const float* q_row, const float* const* k_pages,

@@ -187,24 +187,17 @@ Tensor AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
 Tensor AttentionInference(const Tensor& q, const Tensor& k, const Tensor& v,
                           const AttentionMask* mask = nullptr);
 
-/// One query row attending to the first `len` rows of a cached K/V buffer
-/// (the KV-cache decode step). `q_row` and `out_row` are [dh]; `k_rows` and
-/// `v_rows` are row-major [>=len, dh]; `scratch` holds >= len floats.
-/// Bitwise-equal to query row `len-1` of a causal AttentionForward whose
-/// keys/values are those same rows. len == 0 emits zeros.
-void AttentionDecodeRow(const float* q_row, const float* k_rows,
-                        const float* v_rows, int64_t len, int64_t dh,
-                        float* scratch, float* out_row);
-
-/// Paged variant of AttentionDecodeRow: the `len` cached K/V positions live
-/// in fixed-size pages of `page_rows` positions each. `k_pages[p]` /
-/// `v_pages[p]` point at the base of page p's storage; position j resolves
-/// to `k_pages[j / page_rows] + head_offset + (j % page_rows) * dh` (the
+/// One query row attending to the first `len` cached K/V positions (the
+/// KV-cache serving step). The positions live in fixed-size pages of
+/// `page_rows` positions each: `k_pages[p]` / `v_pages[p]` point at the base
+/// of page p's storage, and position j resolves to
+/// `k_pages[j / page_rows] + head_offset + (j % page_rows) * dh` (the
 /// head_offset selects one head's [page_rows, dh] plane inside a
-/// [heads, page_rows, dh] page). Funnels through the same per-row kernel in
-/// the same ascending-j order as the contiguous path, so the result is
-/// bitwise-equal to AttentionDecodeRow over the gathered rows — paging never
-/// perturbs serving output.
+/// [heads, page_rows, dh] page). `q_row` and `out_row` are [dh]; `scratch`
+/// holds >= len floats. Funnels through the same per-row kernel, in the same
+/// ascending-j order, as AttentionForward, so the result is bitwise-equal to
+/// query row `len-1` of a causal AttentionForward over the gathered rows —
+/// the page size never perturbs serving output. len == 0 emits zeros.
 void AttentionDecodeRowPaged(const float* q_row, const float* const* k_pages,
                              const float* const* v_pages, int64_t head_offset,
                              int64_t len, int64_t page_rows, int64_t dh,

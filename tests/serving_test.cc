@@ -1,8 +1,9 @@
 // Serving-path tests: NaN guards for fully-masked softmax/attention rows,
-// the unbiased Rng, KV-cache growth, bitwise decode parity (incremental
-// KV-cache decode vs full-sequence prefill, across thread degrees, quant
-// modes, and fusion), batched-vs-solo stream independence, and the
-// continuous-batching scheduler's correctness under backpressure.
+// the unbiased Rng, paged KV growth and copy-on-write, bitwise decode parity
+// (incremental KV-cache decode vs full-sequence prefill, across thread
+// degrees, quant modes, fusion, and page sizes), batched-vs-solo stream
+// independence, and the continuous-batching scheduler's correctness under
+// backpressure.
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -169,39 +170,6 @@ TEST(RngUniformInt, PowerOfTwoAndOneBounds) {
     int64_t v = rng.UniformInt(64);
     ASSERT_GE(v, 0);
     ASSERT_LT(v, 64);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// KV cache growth.
-// ---------------------------------------------------------------------------
-
-TEST(KvEntry, GrowthPreservesAppendedRows) {
-  const int64_t heads = 3, dh = 5;
-  nn::KvEntry e;
-  e.Reserve(heads, dh, /*min_cap=*/4);  // small: forces several regrowths
-  std::vector<std::vector<float>> krows, vrows;
-  Rng rng(99);
-  for (int step = 0; step < 70; ++step) {  // crosses several doublings
-    std::vector<float> kr(static_cast<size_t>(heads * dh));
-    std::vector<float> vr(static_cast<size_t>(heads * dh));
-    for (float& x : kr) x = rng.Normal();
-    for (float& x : vr) x = rng.Normal();
-    e.Append(kr.data(), vr.data());
-    krows.push_back(kr);
-    vrows.push_back(vr);
-  }
-  EXPECT_EQ(e.len, 70);
-  EXPECT_GE(e.cap, 70);
-  for (int64_t h = 0; h < heads; ++h) {
-    for (int64_t t = 0; t < e.len; ++t) {
-      for (int64_t d = 0; d < dh; ++d) {
-        EXPECT_EQ(e.KHead(h)[t * dh + d],
-                  krows[static_cast<size_t>(t)][static_cast<size_t>(h * dh + d)]);
-        EXPECT_EQ(e.VHead(h)[t * dh + d],
-                  vrows[static_cast<size_t>(t)][static_cast<size_t>(h * dh + d)]);
-      }
-    }
   }
 }
 
@@ -482,9 +450,9 @@ TEST(SchedulerDeathTest, RejectsPromptPlusMaxNewBeyondMaxLen) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: paged KV storage. Page-table append/growth, copy-on-write on
-// divergence from a shared page, bitwise parity with the unpaged layout, and
-// shared-prefix reuse through the prefix cache.
+// Paged KV storage. Page-table append/growth, copy-on-write on divergence
+// from a shared page, page-size invariance, rejection of a cache with foreign
+// page geometry, and shared-prefix reuse through the prefix cache.
 // ---------------------------------------------------------------------------
 
 TEST(PagedKvEntry, AppendAcrossPagesPreservesRows) {
@@ -567,54 +535,92 @@ TEST(PagedKvEntry, CopyOnWriteLeavesSharedPageUntouched) {
   }
 }
 
-void RunPagedVsUnpagedParity(const zoo::BertLikeModel& model) {
-  serve::EngineOptions up;
-  up.paged = false;
-  serve::Engine unpaged(model, up);
-  serve::EngineOptions pp;
-  pp.page_rows = 4;  // several pages within MiniScale's 12 positions
-  serve::Engine paged(model, pp);
+// Page-size invariance. The reference engine holds each stream in one page
+// spanning every position (the contiguous layout); 4-row pages split the
+// 9 positions into two full pages and a tail, and 5-row pages (not a divisor
+// of seq_len) leave a partial tail page. Prefill and every decode step must
+// agree bitwise.
+void RunPageSizeParity(const zoo::BertLikeModel& model) {
+  serve::EngineOptions ref_opts;
+  ref_opts.page_rows = model.config().seq_len;
+  serve::Engine ref(model, ref_opts);
+  for (int64_t page_rows : {4, 5}) {
+    serve::EngineOptions opts;
+    opts.page_rows = page_rows;
+    serve::Engine paged(model, opts);
 
-  const std::vector<int64_t> prompt = {5, 17, 42, 3};
-  auto uc = unpaged.NewCache();
-  auto pc = paged.NewCache();
-  Tensor ul = unpaged.Prefill(prompt.data(),
-                              static_cast<int64_t>(prompt.size()), uc.get());
-  Tensor pl = paged.Prefill(prompt.data(),
-                            static_cast<int64_t>(prompt.size()), pc.get());
-  ExpectBitwiseEqual(ul, pl, "paged vs unpaged prefill logits");
-  serve::Sampler greedy(serve::SamplingParams{}, 0);
-  for (int step = 0; step < 5; ++step) {
-    int64_t tok = greedy.Sample(ul.data(), unpaged.vocab());
-    std::vector<serve::KvCache*> ucs = {uc.get()};
-    std::vector<serve::KvCache*> pcs = {pc.get()};
-    ul = unpaged.DecodeStep(&tok, ucs);
-    pl = paged.DecodeStep(&tok, pcs);
-    ExpectBitwiseEqual(ul, pl, "paged vs unpaged decode logits");
+    const std::vector<int64_t> prompt = {5, 17, 42, 3};
+    auto rc = ref.NewCache();
+    auto pc = paged.NewCache();
+    Tensor rl = ref.Prefill(prompt.data(),
+                            static_cast<int64_t>(prompt.size()), rc.get());
+    Tensor pl = paged.Prefill(prompt.data(),
+                              static_cast<int64_t>(prompt.size()), pc.get());
+    ExpectBitwiseEqual(rl, pl, "paged vs spanning-page prefill logits");
+    serve::Sampler greedy(serve::SamplingParams{}, 0);
+    for (int step = 0; step < 5; ++step) {
+      int64_t tok = greedy.Sample(rl.data(), ref.vocab());
+      std::vector<serve::KvCache*> rcs = {rc.get()};
+      std::vector<serve::KvCache*> pcs = {pc.get()};
+      rl = ref.DecodeStep(&tok, rcs);
+      pl = paged.DecodeStep(&tok, pcs);
+      ExpectBitwiseEqual(rl, pl, "paged vs spanning-page decode logits");
+    }
+    EXPECT_EQ(pc->entry(0)->pages.size(),
+              static_cast<size_t>((9 + page_rows - 1) / page_rows));
   }
 }
 
-TEST(PagedParity, MatchesUnpagedBitwiseAcrossDegrees) {
+TEST(PageSizeParity, MatchesSpanningPageBitwiseAcrossDegrees) {
   zoo::BertLikeModel model(zoo::BertConfig::MiniScale(), 7);
   for (int degree : {1, 2, 8}) {
     ScopedDegree d(degree);
-    RunPagedVsUnpagedParity(model);
+    RunPageSizeParity(model);
   }
 }
 
-TEST(PagedParity, HoldsUnderInt8AndF16Quant) {
+TEST(PageSizeParity, HoldsUnderInt8AndF16Quant) {
   zoo::BertLikeModel model(zoo::BertConfig::MiniScale(), 7);
   {
     quant::ScopedQuantMode q(quant::QuantMode::kInt8);
     for (int degree : {1, 8}) {
       ScopedDegree d(degree);
-      RunPagedVsUnpagedParity(model);
+      RunPageSizeParity(model);
     }
   }
   {
     quant::ScopedQuantMode q(quant::QuantMode::kF16);
-    RunPagedVsUnpagedParity(model);
+    RunPageSizeParity(model);
   }
+}
+
+// A cache made by an engine with another page size must be refused: served
+// anyway, its pages would be published to this engine's prefix trie under
+// keys of the wrong length and later read with the wrong page geometry.
+TEST(EngineDeathTest, RejectsCacheWithForeignPageGeometry) {
+  zoo::BertLikeModel model(zoo::BertConfig::MiniScale(), 7);
+  serve::EngineOptions a_opts;
+  a_opts.page_rows = 4;
+  serve::Engine a(model, a_opts);
+  serve::EngineOptions b_opts;
+  b_opts.page_rows = 8;
+  serve::Engine b(model, b_opts);
+  const std::vector<int64_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const int64_t n = static_cast<int64_t>(prompt.size());
+
+  auto foreign = a.NewCache();
+  EXPECT_EQ(foreign->page_rows(), 4);
+  EXPECT_DEATH(b.Prefill(prompt.data(), n, foreign.get()), "page geometry");
+  EXPECT_DEATH(b.BeginPrefill(prompt.data(), n, foreign.get()),
+               "page geometry");
+  EXPECT_DEATH(b.PrefillChunk(prompt.data(), n, foreign.get(),
+                              /*want_logits=*/true),
+               "page geometry");
+  Tensor logits = a.Prefill(prompt.data(), n, foreign.get());
+  int64_t tok = serve::Sampler(serve::SamplingParams{}, 0)
+                    .Sample(logits.data(), a.vocab());
+  std::vector<serve::KvCache*> caches = {foreign.get()};
+  EXPECT_DEATH(b.DecodeStep(&tok, caches), "page geometry");
 }
 
 TEST(PrefixCacheReuse, SecondStreamAttachesSharedPagesBitwise) {

@@ -12,8 +12,9 @@
 # losses), a background-materialization smoke test
 # (an evolving-workload run whose per-cycle appends must complete on the
 # thread pool), a serving smoke test (--serve runs with the prefix cache on
-# vs off and with chunked prefill must emit byte-identical generations at a
-# positive tokens/sec, and a shared-prefix workload must register
+# vs off, with chunked prefill, and at another KV page size must emit
+# byte-identical generations at a positive tokens/sec, and a shared-prefix
+# workload must register
 # serve.prefix_cache.hits > 0), and — when the
 # sanitizer runtimes are available — AddressSanitizer and ThreadSanitizer
 # builds that each run the whole test suite (TSAN with NAUTILUS_FUSION=1 so
@@ -205,18 +206,20 @@ echo "background materialization OK: completions=$BG_DONE"
 
 echo "==> serving smoke test"
 # KV-cache decode with continuous batching must be deterministic: --serve
-# runs with the paged prefix cache ON vs OFF, across thread counts, and
-# with chunked prefill must all produce byte-identical stdout (prefix reuse
-# and chunk boundaries change work, never logits), and the stderr summary
-# must report a positive tokens/sec. The prompts share a 4-token prefix
+# runs with the prefix cache ON vs OFF, across thread counts, with chunked
+# prefill, and at a page size that does not divide the prompts must all
+# produce byte-identical stdout (prefix reuse, chunk boundaries and page
+# size change work, never logits), and the stderr summary must report a
+# positive tokens/sec. The prompts share a 4-token prefix
 # (one full page at --page-rows=4) so the cache actually engages, which a
 # fourth run verifies via serve.prefix_cache.hits.
 SERVE_A="$(mktemp /tmp/nautilus_ci_serve_a.XXXXXX.txt)"
 SERVE_B="$(mktemp /tmp/nautilus_ci_serve_b.XXXXXX.txt)"
 SERVE_C="$(mktemp /tmp/nautilus_ci_serve_c.XXXXXX.txt)"
+SERVE_P="$(mktemp /tmp/nautilus_ci_serve_p.XXXXXX.txt)"
 SERVE_M="$(mktemp /tmp/nautilus_ci_serve_m.XXXXXX.txt)"
 SERVE_ERR="$(mktemp /tmp/nautilus_ci_serve_err.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$BG_OUT" "$SERVE_A" "$SERVE_B" "$SERVE_C" "$SERVE_M" "$SERVE_ERR"' EXIT
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$BG_OUT" "$SERVE_A" "$SERVE_B" "$SERVE_C" "$SERVE_P" "$SERVE_M" "$SERVE_ERR"' EXIT
 SERVE_PROMPTS='1 2 3 4 5
 1 2 3 4 6
 1 2 3 4
@@ -230,12 +233,18 @@ printf '%s\n' "$SERVE_PROMPTS" | "$BUILD_DIR/tools/nautilus_cli" \
 printf '%s\n' "$SERVE_PROMPTS" | "$BUILD_DIR/tools/nautilus_cli" \
   --serve --max-new=8 --seed=3 --page-rows=4 --prefill-chunk=2 \
   --threads=2 > "$SERVE_C" 2> /dev/null
+printf '%s\n' "$SERVE_PROMPTS" | "$BUILD_DIR/tools/nautilus_cli" \
+  --serve --max-new=8 --seed=3 --page-rows=3 > "$SERVE_P" 2> /dev/null
 if ! diff "$SERVE_A" "$SERVE_B"; then
   echo "FAIL: serve output differs with the prefix cache off"
   exit 1
 fi
 if ! diff "$SERVE_A" "$SERVE_C"; then
   echo "FAIL: serve output differs under chunked prefill"
+  exit 1
+fi
+if ! diff "$SERVE_A" "$SERVE_P"; then
+  echo "FAIL: serve output differs at another KV page size"
   exit 1
 fi
 test -s "$SERVE_A" || { echo "FAIL: serve produced no output"; exit 1; }
@@ -254,7 +263,7 @@ if [ -z "$PREFIX_HITS" ] || [ "$PREFIX_HITS" -le 0 ]; then
   echo "FAIL: serve.prefix_cache.hits is '${PREFIX_HITS:-absent}' (expected > 0)"
   exit 1
 fi
-echo "serving OK: deterministic across prefix-cache/chunking/threads, $TOK_S tok/s, prefix hits=$PREFIX_HITS"
+echo "serving OK: deterministic across prefix-cache/chunking/threads/page size, $TOK_S tok/s, prefix hits=$PREFIX_HITS"
 
 echo "==> crash-recovery smoke test"
 CR_DIR="$(mktemp -d /tmp/nautilus_ci_crash.XXXXXX)"
