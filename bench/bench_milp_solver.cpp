@@ -17,7 +17,7 @@ int main() {
   const core::SystemConfig config = bench::PaperConfig();
 
   bench::PrintRow({"Workload", "units |U|", "B&B time", "B&B nodes",
-                   "MILP vars", "MILP time", "warm re-solve", "agree"},
+                   "MILP vars", "MILP time", "agree"},
                   13);
   for (workloads::WorkloadId id : workloads::AllWorkloads()) {
     workloads::BuiltWorkload built =
@@ -33,7 +33,6 @@ int main() {
     // The literal MILP grows with models x nodes; run it on the smaller
     // workloads (the big ones are what the structured solver is for).
     std::string milp_time = "-";
-    std::string warm_time = "-";
     std::string agree = "-";
     MilpProblem milp = optimizer.BuildMilp(config.disk_budget_bytes,
                                            config.expected_max_records);
@@ -45,33 +44,15 @@ int main() {
       const double milp_seconds = milp_watch.ElapsedSeconds();
       milp_time = FormatDouble(milp_seconds, 2) + " s";
 
-      // Evolving-cycle re-solve: the warm start turns an unchanged program
-      // into a fingerprint hit (no search), the common per-cycle case.
-      MilpWarmStart warm;
-      optimizer.OptimizeWithMilp(config.disk_budget_bytes,
-                                 config.expected_max_records, MilpOptions(),
-                                 &warm);
-      Stopwatch warm_watch;
-      core::MaterializationChoice rewarmed = optimizer.OptimizeWithMilp(
-          config.disk_budget_bytes, config.expected_max_records,
-          MilpOptions(), &warm);
-      const double warm_seconds = warm_watch.ElapsedSeconds();
-      warm_time = FormatDouble(warm_seconds * 1e3, 2) + " ms (" +
-                  bench::Ratio(milp_seconds / std::max(warm_seconds, 1e-9)) +
-                  ")";
-
       const double rel =
           std::abs(via_milp.total_cost_flops - structured.total_cost_flops) /
           std::max(1.0, structured.total_cost_flops);
-      const double warm_rel =
-          std::abs(rewarmed.total_cost_flops - via_milp.total_cost_flops) /
-          std::max(1.0, via_milp.total_cost_flops);
-      agree = (rel < 1e-6 && warm_rel < 1e-9) ? "yes" : "NO";
+      agree = rel < 1e-6 ? "yes" : "NO";
     }
     bench::PrintRow({built.name, std::to_string(mm.units().size()),
                      FormatDouble(bnb_seconds, 3) + " s",
                      std::to_string(structured.nodes_explored),
-                     std::to_string(num_vars), milp_time, warm_time, agree},
+                     std::to_string(num_vars), milp_time, agree},
                     13);
   }
   std::printf(

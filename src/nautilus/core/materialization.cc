@@ -318,13 +318,10 @@ MilpProblem MaterializationOptimizer::BuildMilp(double disk_budget_bytes,
 }
 
 MaterializationChoice MaterializationOptimizer::OptimizeWithMilp(
-    double disk_budget_bytes, int64_t max_records, const MilpOptions& options,
-    MilpWarmStart* warm) const {
+    double disk_budget_bytes, int64_t max_records,
+    const MilpOptions& options) const {
   const MilpProblem problem = BuildMilp(disk_budget_bytes, max_records);
-  MilpOptions opts = options;
-  if (warm != nullptr) opts.warm_start = warm;
-  const MilpSolution solution = SolveMilp(problem, opts);
-  if (warm != nullptr) UpdateMilpWarmStart(problem, solution, warm);
+  const MilpSolution solution = SolveMilp(problem, options);
   NAUTILUS_CHECK(solution.status == LpStatus::kOptimal)
       << "materialization MILP: " << LpStatusToString(solution.status);
 

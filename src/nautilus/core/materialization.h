@@ -61,14 +61,9 @@ class MaterializationOptimizer {
       const std::vector<bool>* warm_units = nullptr) const;
 
   MilpProblem BuildMilp(double disk_budget_bytes, int64_t max_records) const;
-  /// `warm` (optional) is both consumed and refreshed: a valid prior
-  /// solution short-circuits the solve when the program is unchanged (or
-  /// seeds the incumbent when perturbed — see MilpWarmStart), and the
-  /// returned solution is written back for the next cycle.
   MaterializationChoice OptimizeWithMilp(
       double disk_budget_bytes, int64_t max_records,
-      const MilpOptions& options = MilpOptions(),
-      MilpWarmStart* warm = nullptr) const;
+      const MilpOptions& options = MilpOptions()) const;
 
  private:
   /// Per-candidate planning instance given which units may be loaded.

@@ -40,8 +40,8 @@ constexpr double kFusionMinSavedBytesPerRecord = 1024.0;
 
 /// Discovers maximal fusible straight-line regions in `graph`:
 ///   - members must describe themselves via nn::Layer::DescribeFusedOp
-///     (elementwise activations, residual AddN, f16 round trips, LayerNorm /
-///     softmax / mean-pool reduction terminals);
+///     (elementwise activations, residual AddN, LayerNorm / softmax /
+///     mean-pool reduction terminals);
 ///   - every non-terminal member feeds exactly one child through exactly one
 ///     slot and is not a graph output (its value never escapes the region);
 ///   - kMeanPool may only terminate a chain;

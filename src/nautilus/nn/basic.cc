@@ -444,43 +444,5 @@ std::shared_ptr<Layer> SoftmaxLayer::Clone() const {
   return std::make_shared<SoftmaxLayer>(name_);
 }
 
-// ---------------------------------------------------------------------------
-// F16RoundTripLayer
-// ---------------------------------------------------------------------------
-
-Shape F16RoundTripLayer::OutputShape(const std::vector<Shape>& inputs) const {
-  NAUTILUS_CHECK_EQ(inputs.size(), 1u);
-  return inputs[0];
-}
-
-double F16RoundTripLayer::ForwardFlopsPerRecord(
-    const std::vector<Shape>& input_record_shapes) const {
-  return static_cast<double>(input_record_shapes[0].NumElements());
-}
-
-Tensor F16RoundTripLayer::Forward(const std::vector<const Tensor*>& inputs,
-                                  std::unique_ptr<LayerCache>* cache) const {
-  NAUTILUS_CHECK_EQ(inputs.size(), 1u);
-  if (cache != nullptr) cache->reset();
-  return ops::RoundTripF16(*inputs[0]);
-}
-
-std::vector<Tensor> F16RoundTripLayer::Backward(
-    const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
-  (void)inputs;
-  return {grad_out};  // straight-through estimator
-}
-
-bool F16RoundTripLayer::DescribeFusedOp(fused::OpDesc* op) {
-  op->kind = fused::OpKind::kRoundTripF16;
-  op->num_inputs = 1;
-  return true;
-}
-
-std::shared_ptr<Layer> F16RoundTripLayer::Clone() const {
-  return std::make_shared<F16RoundTripLayer>(name_);
-}
-
 }  // namespace nn
 }  // namespace nautilus

@@ -162,27 +162,6 @@ class SoftmaxLayer : public Layer {
   std::shared_ptr<Layer> Clone() const override;
 };
 
-/// f32 -> f16 -> f32 round trip as a graph node: simulates half-precision
-/// activation transport (the PR 7 quant path) with a straight-through
-/// backward. Parameter-free, so always frozen in the graph.
-class F16RoundTripLayer : public Layer {
- public:
-  explicit F16RoundTripLayer(std::string name) : Layer(std::move(name)) {}
-
-  std::string type_name() const override { return "F16RoundTrip"; }
-
-  Shape OutputShape(const std::vector<Shape>& inputs) const override;
-  double ForwardFlopsPerRecord(
-      const std::vector<Shape>& input_record_shapes) const override;
-  Tensor Forward(const std::vector<const Tensor*>& inputs,
-                 std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
-  bool DescribeFusedOp(fused::OpDesc* op) override;
-  std::shared_ptr<Layer> Clone() const override;
-};
-
 }  // namespace nn
 }  // namespace nautilus
 

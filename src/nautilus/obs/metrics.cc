@@ -120,8 +120,19 @@ int64_t Histogram::ApproxPercentile(double p) const {
       1, static_cast<int64_t>(p * static_cast<double>(n) + 0.5));
   int64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    seen += bucket_count(b);
-    if (seen >= rank) return int64_t{1} << std::min(b + 1, 62);
+    const int64_t in_bucket = bucket_count(b);
+    if (seen + in_bucket < rank) {
+      seen += in_bucket;
+      continue;
+    }
+    // Bucket b spans [2^b, 2^(b+1)) (bucket 0 from 0, the last one open);
+    // clamping to the observed extremes keeps the estimate inside them.
+    const int64_t lo = std::max(b == 0 ? int64_t{0} : int64_t{1} << b, min());
+    const int64_t hi =
+        b + 1 < kBuckets ? std::min(int64_t{1} << (b + 1), max()) : max();
+    const double frac =
+        static_cast<double>(rank - seen) / static_cast<double>(in_bucket);
+    return lo + static_cast<int64_t>(static_cast<double>(hi - lo) * frac);
   }
   return max();
 }

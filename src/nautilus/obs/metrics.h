@@ -38,7 +38,8 @@ class Gauge {
 
 /// Lock-free histogram over power-of-two buckets, built for nanosecond
 /// latencies (bucket b counts samples in [2^b, 2^(b+1)); bucket 0 also takes
-/// v <= 1). count/sum are exact; percentiles are bucket-resolution estimates.
+/// v <= 1). count/sum/min/max are exact; percentiles interpolate within a
+/// bucket.
 class Histogram {
  public:
   static constexpr int kBuckets = 44;  // covers up to ~4.8 hours in ns
@@ -50,7 +51,10 @@ class Histogram {
   int64_t min() const;  // 0 when empty
   int64_t max() const;  // 0 when empty
   double mean() const;
-  /// Upper bound of the bucket containing the p-th percentile (p in [0,1]).
+  /// Estimated p-th percentile (p in [0,1]): finds the bucket holding the
+  /// sample of that rank and interpolates linearly by rank across the
+  /// bucket's range clamped to [min(), max()]. Constant samples return that
+  /// value exactly; every estimate lies in [min(), max()]. 0 when empty.
   int64_t ApproxPercentile(double p) const;
   int64_t bucket_count(int b) const {
     return buckets_[b].load(std::memory_order_relaxed);

@@ -28,20 +28,12 @@ struct NodeOrder {
 };
 
 MilpSolution SolveMilpImpl(const MilpProblem& problem,
-                           const MilpOptions& options,
-                           const MilpSolution* seed) {
+                           const MilpOptions& options) {
   NAUTILUS_CHECK_EQ(static_cast<int>(problem.is_integer.size()),
                     problem.lp.num_vars());
   MilpSolution best;
   best.status = LpStatus::kInfeasible;
   bool have_incumbent = false;
-  if (seed != nullptr) {
-    // A warm-start incumbent: already verified feasible for this program by
-    // the caller. Its objective was recomputed under the new coefficients,
-    // so the bound pruning below is exact.
-    best = *seed;
-    have_incumbent = true;
-  }
 
   std::vector<Node> nodes;
   nodes.push_back(Node{{}, {}, -std::numeric_limits<double>::infinity()});
@@ -141,28 +133,7 @@ MilpSolution SolveMilpImpl(const MilpProblem& problem,
   return best;
 }
 
-// True when `x` is integral (within tol) on every integer-marked variable.
-bool IsIntegral(const MilpProblem& problem, const std::vector<double>& x,
-                double tol) {
-  for (int j = 0; j < problem.lp.num_vars(); ++j) {
-    if (!problem.is_integer[static_cast<size_t>(j)]) continue;
-    const double v = x[static_cast<size_t>(j)];
-    if (std::abs(v - std::round(v)) > tol) return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-uint64_t FingerprintMilp(const MilpProblem& problem) {
-  uint64_t hash = problem.lp.Fingerprint();
-  // Fold the integrality marks in with a distinct multiplier so programs
-  // that differ only in which variables are integral hash apart.
-  for (bool flag : problem.is_integer) {
-    hash = hash * 1099511628211ull + (flag ? 0x9eu : 0x31u);
-  }
-  return hash;
-}
 
 MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
   static obs::Counter& solves =
@@ -171,62 +142,12 @@ MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
       obs::MetricsRegistry::Global().counter("milp.nodes_explored");
   static obs::Histogram& solve_ns =
       obs::MetricsRegistry::Global().histogram("milp.solve_ns");
-  static obs::Counter& warm_hits =
-      obs::MetricsRegistry::Global().counter("milp.warm_start.hits");
-  static obs::Counter& warm_seeds =
-      obs::MetricsRegistry::Global().counter("milp.warm_start.incumbent_seeds");
-  static obs::Counter& warm_misses =
-      obs::MetricsRegistry::Global().counter("milp.warm_start.misses");
-  static obs::Histogram& warm_resolve_ns =
-      obs::MetricsRegistry::Global().histogram("milp.warm_start.resolve_ns");
   solves.Add();
   obs::TraceScope span("plan", "milp.solve");
   span.AddArg("vars", problem.lp.num_vars());
 
-  const MilpWarmStart* warm = options.warm_start;
-  const bool consult_warm = warm != nullptr && warm->valid &&
-                            warm->solution.status == LpStatus::kOptimal;
-  // Timed off the steady clock directly (TraceScope::ElapsedNs is 0 when
-  // tracing is off, and this histogram must be valid in untraced runs).
-  const int64_t warm_begin_ns = consult_warm ? obs::NowNs() : 0;
-  const auto finish_warm = [&](const char* outcome) {
-    warm_resolve_ns.Record(obs::NowNs() - warm_begin_ns);
-    span.AddArg("warm_start", outcome);
-  };
-
-  // Tier 1: unchanged program — return the prior solution verbatim. This is
-  // the common evolving-dataset case (new labels arrive, the model set and
-  // record-count scale do not change), and makes the re-solve O(hash).
-  if (consult_warm && FingerprintMilp(problem) == warm->fingerprint) {
-    warm_hits.Add();
-    MilpSolution solution = warm->solution;
-    solution.nodes_explored = 0;
-    finish_warm("hit");
-    return solution;
-  }
-
-  // Tier 2: perturbed program — seed the prior point as the starting
-  // incumbent if it is still feasible, with its objective recomputed under
-  // the new coefficients so branch-and-bound pruning stays exact.
-  MilpSolution seed;
-  const MilpSolution* seed_ptr = nullptr;
-  if (consult_warm &&
-      problem.lp.IsFeasible(warm->solution.x) &&
-      IsIntegral(problem, warm->solution.x, options.integrality_tol)) {
-    warm_seeds.Add();
-    seed = warm->solution;
-    seed.objective = problem.lp.ObjectiveValue(seed.x);
-    seed.status = LpStatus::kOptimal;
-    seed_ptr = &seed;
-  } else if (consult_warm) {
-    warm_misses.Add();
-  }
-
-  const MilpSolution solution = SolveMilpImpl(problem, options, seed_ptr);
+  const MilpSolution solution = SolveMilpImpl(problem, options);
   nodes_explored.Add(solution.nodes_explored);
-  if (consult_warm) {
-    finish_warm(seed_ptr != nullptr ? "incumbent_seed" : "miss");
-  }
   if (span.active()) {
     solve_ns.Record(span.ElapsedNs());
     span.AddArg("status", LpStatusToString(solution.status))
@@ -234,18 +155,6 @@ MilpSolution SolveMilp(const MilpProblem& problem, const MilpOptions& options) {
         .AddArg("objective", solution.objective);
   }
   return solution;
-}
-
-void UpdateMilpWarmStart(const MilpProblem& problem,
-                         const MilpSolution& solution, MilpWarmStart* warm) {
-  if (warm == nullptr) return;
-  if (solution.status != LpStatus::kOptimal) {
-    warm->valid = false;
-    return;
-  }
-  warm->valid = true;
-  warm->fingerprint = FingerprintMilp(problem);
-  warm->solution = solution;
 }
 
 }  // namespace nautilus

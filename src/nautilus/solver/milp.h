@@ -26,34 +26,11 @@ struct MilpSolution {
   int nodes_explored = 0;
 };
 
-/// A prior cycle's solution carried across solves of an evolving program
-/// (the per-cycle re-optimization of Section 4.2.3). SolveMilp consults it
-/// in two tiers:
-///   1. Fingerprint hit — the program is byte-for-byte the one that produced
-///      `solution`: the prior solution is returned without any search
-///      (`milp.warm_start.hits`).
-///   2. Incumbent seed — the program was perturbed (e.g. the record-count
-///      scale doubled) but the prior point is still integer-feasible: it
-///      seeds the branch-and-bound incumbent so only nodes that can beat it
-///      are explored (`milp.warm_start.incumbent_seeds`).
-/// Refresh it from the returned solution with UpdateMilpWarmStart.
-struct MilpWarmStart {
-  bool valid = false;
-  uint64_t fingerprint = 0;
-  MilpSolution solution;
-};
-
-/// Fingerprint of the full program: LP structure plus integrality marks.
-uint64_t FingerprintMilp(const MilpProblem& problem);
-
 struct MilpOptions {
   /// Hard cap on branch-and-bound nodes; kIterationLimit is reported if hit
   /// before proving optimality (the incumbent, if any, is still returned).
   int max_nodes = 200000;
   double integrality_tol = 1e-6;
-  /// Optional warm start (not owned, read-only during the solve). Ignored
-  /// when null or !valid.
-  const MilpWarmStart* warm_start = nullptr;
 };
 
 /// Exact branch-and-bound MILP solver over the two-phase simplex. This is
@@ -61,12 +38,6 @@ struct MilpOptions {
 /// MILP formulation (paper Section 4.2.2).
 MilpSolution SolveMilp(const MilpProblem& problem,
                        const MilpOptions& options = MilpOptions());
-
-/// Records `solution` (with the program's fingerprint) as the warm start for
-/// the next solve. Non-optimal solutions invalidate the warm start instead:
-/// reusing a limit-hit incumbent could lock in a suboptimal plan.
-void UpdateMilpWarmStart(const MilpProblem& problem,
-                         const MilpSolution& solution, MilpWarmStart* warm);
 
 }  // namespace nautilus
 

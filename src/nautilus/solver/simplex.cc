@@ -53,78 +53,6 @@ void LinearProgram::AddEqRow(std::vector<std::pair<int, double>> coeffs,
   AddGeqRow(std::move(coeffs), rhs);
 }
 
-namespace {
-
-// FNV-1a over raw bytes; doubles are hashed by bit pattern so even
-// sub-epsilon coefficient drift registers as "program changed".
-inline uint64_t FnvMix(uint64_t hash, const void* data, size_t len) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= static_cast<uint64_t>(bytes[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-inline uint64_t FnvMixDouble(uint64_t hash, double value) {
-  // Normalize -0.0 to +0.0 so arithmetically identical programs hash equal.
-  if (value == 0.0) value = 0.0;
-  return FnvMix(hash, &value, sizeof(value));
-}
-
-inline uint64_t FnvMixInt(uint64_t hash, int64_t value) {
-  return FnvMix(hash, &value, sizeof(value));
-}
-
-}  // namespace
-
-uint64_t LinearProgram::Fingerprint() const {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  hash = FnvMixInt(hash, num_vars_);
-  for (double c : objective_) hash = FnvMixDouble(hash, c);
-  for (double u : upper_) hash = FnvMixDouble(hash, u);
-  hash = FnvMixInt(hash, static_cast<int64_t>(rows_.size()));
-  for (const Row& row : rows_) {
-    hash = FnvMixInt(hash, static_cast<int64_t>(row.coeffs.size()));
-    for (const auto& [var, coeff] : row.coeffs) {
-      hash = FnvMixInt(hash, var);
-      hash = FnvMixDouble(hash, coeff);
-    }
-    hash = FnvMixDouble(hash, row.rhs);
-  }
-  return hash;
-}
-
-double LinearProgram::ObjectiveValue(const std::vector<double>& x) const {
-  NAUTILUS_CHECK_EQ(static_cast<int>(x.size()), num_vars_);
-  double value = 0.0;
-  for (int j = 0; j < num_vars_; ++j) {
-    value += objective_[static_cast<size_t>(j)] * x[static_cast<size_t>(j)];
-  }
-  return value;
-}
-
-bool LinearProgram::IsFeasible(const std::vector<double>& x,
-                               double tol) const {
-  if (static_cast<int>(x.size()) != num_vars_) return false;
-  for (int j = 0; j < num_vars_; ++j) {
-    const double v = x[static_cast<size_t>(j)];
-    if (v < -tol) return false;
-    if (v > upper_[static_cast<size_t>(j)] + tol) return false;
-  }
-  for (const Row& row : rows_) {
-    double lhs = 0.0;
-    for (const auto& [var, coeff] : row.coeffs) {
-      lhs += coeff * x[static_cast<size_t>(var)];
-    }
-    // Scale the tolerance so large-magnitude rows (byte budgets) do not
-    // reject solutions over pure round-off.
-    const double scale = std::max(1.0, std::abs(row.rhs));
-    if (lhs > row.rhs + tol * scale) return false;
-  }
-  return true;
-}
-
 const char* LpStatusToString(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal:

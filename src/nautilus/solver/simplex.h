@@ -45,19 +45,6 @@ class LinearProgram {
   };
   const std::vector<Row>& rows() const { return rows_; }
 
-  /// Order-sensitive structural fingerprint over the variable count,
-  /// objective, bounds, and rows (bit patterns of every coefficient). Two
-  /// programs built by the same construction sequence over equal
-  /// coefficients hash equal; any perturbed coefficient changes the hash.
-  /// Basis of the MILP warm-start's "did the program change?" test.
-  uint64_t Fingerprint() const;
-
-  /// Objective value c^T x; `x` must have num_vars entries.
-  double ObjectiveValue(const std::vector<double>& x) const;
-
-  /// True when `x` satisfies every variable bound and row within `tol`.
-  bool IsFeasible(const std::vector<double>& x, double tol = 1e-7) const;
-
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
  private:

@@ -199,8 +199,9 @@ Status CheckpointStore::LoadModel(const graph::ModelGraph& model,
   const int64_t file_size = static_cast<int64_t>(size_or);
   File f(path, "rb");
   if (!f.ok()) return Status::NotFound("no checkpoint: " + key);
-  if (file_size < kHeaderBytes) {
-    return CorruptionError("checkpoint too small: " + key);
+  if (file_size < kHeaderBytes + kShardFooterBytes) {
+    return CorruptionError("checkpoint too small for header and footer: " +
+                           key);
   }
   int64_t magic = 0;
   int64_t num_params = 0;
@@ -211,61 +212,48 @@ Status CheckpointStore::LoadModel(const graph::ModelGraph& model,
   if (magic != kMagic || num_params < 0) {
     return CorruptionError("bad checkpoint header: " + key);
   }
-  // Classify the tail: a valid footer means a v2 checkpoint whose checksums
-  // we verify in full before parsing a single parameter; no magic means a
-  // legacy v1 file (accepted, unverifiable); a damaged footer is a tear.
-  bool has_footer = false;
+  // The footer is mandatory: its checksums are verified in full before the
+  // parse touches a single parameter.
   ShardFooter footer;
-  if (file_size >= kHeaderBytes + kShardFooterBytes) {
-    char tail[kShardFooterBytes];
-    if (Seek64(f.get(), file_size - kShardFooterBytes, SEEK_SET) != 0 ||
-        std::fread(tail, 1, sizeof(tail), f.get()) != sizeof(tail)) {
+  char tail[kShardFooterBytes];
+  if (Seek64(f.get(), file_size - kShardFooterBytes, SEEK_SET) != 0 ||
+      std::fread(tail, 1, sizeof(tail), f.get()) != sizeof(tail)) {
+    return CorruptionError("short checkpoint footer read: " + key);
+  }
+  if (!DecodeShardFooter(tail, &footer)) {
+    return CorruptionError("missing or torn checkpoint footer: " + key);
+  }
+  const int64_t payload_end = file_size - kShardFooterBytes;
+  char header[kHeaderBytes];
+  SerializeCheckpointHeader(num_params, header);
+  if (footer.header_crc != Crc32c(0, header, sizeof(header))) {
+    return CorruptionError("checkpoint header checksum mismatch: " + key);
+  }
+  if (footer.payload_bytes != payload_end - kHeaderBytes) {
+    return CorruptionError("checkpoint size mismatch (torn write?): " + key);
+  }
+  // Whole-file checksum pass BEFORE the parse touches any parameter, so a
+  // bit-flip anywhere in the file rejects the checkpoint outright.
+  if (Seek64(f.get(), kHeaderBytes, SEEK_SET) != 0) {
+    return Status::IoError("seek failed: " + key);
+  }
+  std::vector<char> buf(1 << 20);
+  uint32_t payload_crc = 0;
+  int64_t left = footer.payload_bytes;
+  while (left > 0) {
+    const size_t chunk = static_cast<size_t>(
+        std::min<int64_t>(left, static_cast<int64_t>(buf.size())));
+    if (std::fread(buf.data(), 1, chunk, f.get()) != chunk) {
       return CorruptionError("short checkpoint read: " + key);
     }
-    switch (DecodeShardFooter(tail, &footer)) {
-      case FooterState::kValid:
-        has_footer = true;
-        break;
-      case FooterState::kAbsent:
-        break;
-      case FooterState::kTorn:
-        return CorruptionError("torn checkpoint footer: " + key);
-    }
+    payload_crc = Crc32c(payload_crc, buf.data(), chunk);
+    left -= static_cast<int64_t>(chunk);
   }
-  const int64_t payload_end =
-      file_size - (has_footer ? kShardFooterBytes : 0);
-  if (has_footer) {
-    char header[kHeaderBytes];
-    SerializeCheckpointHeader(num_params, header);
-    if (footer.header_crc != Crc32c(0, header, sizeof(header))) {
-      return CorruptionError("checkpoint header checksum mismatch: " + key);
-    }
-    if (footer.payload_bytes != payload_end - kHeaderBytes) {
-      return CorruptionError("checkpoint size mismatch (torn write?): " + key);
-    }
-    // Whole-file checksum pass BEFORE the parse touches any parameter, so a
-    // bit-flip anywhere in the file rejects the checkpoint outright.
-    if (Seek64(f.get(), kHeaderBytes, SEEK_SET) != 0) {
-      return Status::IoError("seek failed: " + key);
-    }
-    std::vector<char> buf(1 << 20);
-    uint32_t payload_crc = 0;
-    int64_t left = footer.payload_bytes;
-    while (left > 0) {
-      const size_t chunk = static_cast<size_t>(
-          std::min<int64_t>(left, static_cast<int64_t>(buf.size())));
-      if (std::fread(buf.data(), 1, chunk, f.get()) != chunk) {
-        return CorruptionError("short checkpoint read: " + key);
-      }
-      payload_crc = Crc32c(payload_crc, buf.data(), chunk);
-      left -= static_cast<int64_t>(chunk);
-    }
-    if (payload_crc != footer.payload_crc) {
-      return CorruptionError("checkpoint payload checksum mismatch: " + key);
-    }
-    if (Seek64(f.get(), kHeaderBytes, SEEK_SET) != 0) {
-      return Status::IoError("seek failed: " + key);
-    }
+  if (payload_crc != footer.payload_crc) {
+    return CorruptionError("checkpoint payload checksum mismatch: " + key);
+  }
+  if (Seek64(f.get(), kHeaderBytes, SEEK_SET) != 0) {
+    return Status::IoError("seek failed: " + key);
   }
   // Index the model's parameters by name.
   std::unordered_map<std::string, nn::Parameter*> by_name;

@@ -16,8 +16,8 @@ namespace storage {
 /// every training run, while Nautilus checkpoints rewritten graphs whose
 /// frozen parameters are pruned.
 ///
-/// Checkpoints carry the same 32-byte CRC32C footer as tensor shards
-/// (integrity.h); legacy footer-less files remain readable but unverifiable.
+/// Checkpoints end in the same mandatory 32-byte CRC32C footer as tensor
+/// shards (integrity.h); a file without a valid footer is rejected.
 /// Saves are atomic (temp file + rename, honoring the process durability
 /// policy) and loads are all-or-nothing: the whole file is checksum-verified
 /// and parsed before any parameter is overwritten.

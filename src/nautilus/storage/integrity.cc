@@ -180,25 +180,21 @@ void EncodeShardFooter(const ShardFooter& f, char* out) {
   std::memcpy(out + kOffMagic, &magic, sizeof(int64_t));
 }
 
-FooterState DecodeShardFooter(const char* bytes, ShardFooter* out) {
+bool DecodeShardFooter(const char* bytes, ShardFooter* out) {
   int64_t magic = 0;
   std::memcpy(&magic, bytes + kOffMagic, sizeof(int64_t));
-  if (magic != kShardFooterMagic) return FooterState::kAbsent;
+  if (magic != kShardFooterMagic) return false;
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes + kOffFooterCrc, sizeof(uint32_t));
-  if (Crc32c(0, bytes, kFooterCrcSpan) != stored_crc) {
-    return FooterState::kTorn;
-  }
+  if (Crc32c(0, bytes, kFooterCrcSpan) != stored_crc) return false;
   ShardFooter f;
   std::memcpy(&f.header_crc, bytes + kOffHeaderCrc, sizeof(uint32_t));
   std::memcpy(&f.payload_crc, bytes + kOffPayloadCrc, sizeof(uint32_t));
   std::memcpy(&f.payload_bytes, bytes + kOffPayloadBytes, sizeof(int64_t));
   std::memcpy(&f.version, bytes + kOffVersion, sizeof(uint32_t));
-  if (f.version != kShardFooterVersion || f.payload_bytes < 0) {
-    return FooterState::kTorn;
-  }
+  if (f.version != kShardFooterVersion || f.payload_bytes < 0) return false;
   *out = f;
-  return FooterState::kValid;
+  return true;
 }
 
 Status WriteShardFooter(std::FILE* f, const ShardFooter& footer) {

@@ -52,10 +52,10 @@ Status SyncFile(std::FILE* f, Durability d);
 Status SyncParentDir(const std::string& path, Durability d);
 
 // ---------------------------------------------------------------------------
-// Shard footer (format v2)
+// Shard footer
 // ---------------------------------------------------------------------------
 //
-// v2 shard/checkpoint files carry a fixed 32-byte trailer:
+// Every shard and checkpoint file ends in a mandatory 32-byte trailer:
 //
 //   offset  size  field
 //        0     4  header_crc     CRC32C of the header bytes
@@ -64,12 +64,11 @@ Status SyncParentDir(const std::string& path, Durability d);
 //        8     8  payload_bytes  bytes covered by payload_crc
 //       16     4  version        footer format version (2)
 //       20     4  footer_crc     CRC32C of the 20 bytes above (tear check)
-//       24     8  magic          kFooterMagic, last so detection is one
-//                                8-byte read at EOF
+//       24     8  magic          kShardFooterMagic, last so detection is
+//                                one 8-byte read at EOF
 //
-// Legacy v1 files (written before checksums existed) have no footer; they
-// are identified by their exact size (header + payload) and stay readable,
-// but cannot be verified. Any other trailing state is a torn write.
+// A file whose trailer is missing or fails these checks is torn or corrupt;
+// there is no footer-less format.
 
 constexpr int64_t kShardFooterBytes = 32;
 constexpr int64_t kShardFooterMagic = 0x4e415554'46545232;  // "NAUTFTR2"
@@ -82,18 +81,13 @@ struct ShardFooter {
   uint32_t version = kShardFooterVersion;
 };
 
-/// How the trailing bytes of a file classify.
-enum class FooterState {
-  kValid,   // magic + footer_crc check out; `out` is filled in
-  kAbsent,  // no magic: candidate legacy v1 file (caller cross-checks size)
-  kTorn,    // magic present but the footer fails its own CRC or version
-};
-
 /// Serializes `f` (with footer_crc and magic) into `out[kShardFooterBytes]`.
 void EncodeShardFooter(const ShardFooter& f, char* out);
 
-/// Classifies `bytes[kShardFooterBytes]` (the last 32 bytes of a file).
-FooterState DecodeShardFooter(const char* bytes, ShardFooter* out);
+/// Decodes `bytes[kShardFooterBytes]` (the last 32 bytes of a file). True
+/// when magic, footer_crc and version check out and `out` is filled in;
+/// false for a missing or torn footer.
+bool DecodeShardFooter(const char* bytes, ShardFooter* out);
 
 /// Appends the footer for (header_crc, payload_crc, payload_bytes) at the
 /// current position of `f`.

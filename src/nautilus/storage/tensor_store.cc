@@ -23,50 +23,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr int64_t kMagic = 0x4e41555431000001;    // "NAUT1" + version (f32)
-constexpr int64_t kMagicV3 = 0x4e41555433000001;  // "NAUT3": + dtype field
+constexpr int64_t kMagic = 0x4e41555433000001;  // "NAUT3" + version
 
-// v1/v2 layout: magic, rank, dims[rank].
-// v3 layout:    magic, dtype, rank, dims[rank]  (dims = LOGICAL f32 shape).
+// On-disk header: magic, dtype, rank, dims[rank] (int64 little-endian; dims
+// describe the LOGICAL f32 shape). The first HeaderBytes(rank) bytes of this
+// struct are exactly the header bytes on disk, so it is read, written and
+// checksummed in place.
 struct Header {
   int64_t magic;
-  int64_t dtype = 0;  // serialized only for v3
+  int64_t dtype;
   int64_t rank;
   int64_t dims[8];
 };
 
-bool IsV3(const Header& h) { return h.magic == kMagicV3; }
-
-int64_t HeaderBytes(int64_t rank) {
-  return static_cast<int64_t>(sizeof(int64_t)) * (2 + rank);
+constexpr int64_t HeaderBytes(int64_t rank) {
+  return static_cast<int64_t>(sizeof(int64_t)) * (3 + rank);
 }
 
-int64_t HeaderBytesFor(const Header& h) {
-  return static_cast<int64_t>(sizeof(int64_t)) * ((IsV3(h) ? 3 : 2) + h.rank);
-}
+constexpr int64_t kMaxHeaderBytes = HeaderBytes(8);
+static_assert(sizeof(Header) == kMaxHeaderBytes, "Header must be unpadded");
 
 // Byte offset of dims[0] (the row count AppendRows bumps in place).
-int64_t RowCountOffset(const Header& h) {
-  return static_cast<int64_t>(sizeof(int64_t)) * (IsV3(h) ? 3 : 2);
-}
-
-constexpr int64_t kMaxHeaderBytes = 11 * static_cast<int64_t>(sizeof(int64_t));
-
-// Serializes `h` exactly as it lays on disk (for CRC computation); returns
-// the byte count. `buf` must hold kMaxHeaderBytes.
-int64_t SerializeHeader(const Header& h, char* buf) {
-  int64_t off = 0;
-  std::memcpy(buf, &h.magic, sizeof(int64_t));
-  off += sizeof(int64_t);
-  if (IsV3(h)) {
-    std::memcpy(buf + off, &h.dtype, sizeof(int64_t));
-    off += sizeof(int64_t);
-  }
-  std::memcpy(buf + off, &h.rank, sizeof(int64_t));
-  off += sizeof(int64_t);
-  std::memcpy(buf + off, h.dims, static_cast<size_t>(h.rank) * sizeof(int64_t));
-  return off + static_cast<int64_t>(h.rank) * sizeof(int64_t);
-}
+constexpr int64_t kRowCountOffset = HeaderBytes(0);
 
 // Logical per-record f32 elements (product of dims past the batch dim), or
 // -1 on overflow/negative dims.
@@ -81,7 +59,7 @@ int64_t PerRecordElementsFor(const Header& h) {
   return per_record;
 }
 
-// Payload bytes implied by the header dims (+ dtype for v3), or -1 on
+// Payload bytes implied by the header dims and dtype, or -1 on
 // overflow/negative dims.
 int64_t PayloadBytesFor(const Header& h) {
   const int64_t rows = h.dims[0];
@@ -89,8 +67,7 @@ int64_t PayloadBytesFor(const Header& h) {
   const int64_t per_record = PerRecordElementsFor(h);
   if (per_record < 0) return -1;
   const int64_t row_bytes =
-      IsV3(h) ? ShardRowBytes(static_cast<ShardDtype>(h.dtype), per_record)
-              : per_record * static_cast<int64_t>(sizeof(float));
+      ShardRowBytes(static_cast<ShardDtype>(h.dtype), per_record);
   if (row_bytes < 0) return -1;
   if (rows > 0 && row_bytes > 0 && rows > INT64_MAX / row_bytes) return -1;
   return rows * row_bytes;
@@ -208,151 +185,108 @@ class File {
   std::FILE* f_;
 };
 
-// Parsed and structurally-validated on-disk shard metadata, shared by the
-// buffered and mapped read paths.
+// Parsed and cross-checked on-disk shard metadata, shared by the buffered
+// and mapped read paths.
 struct ShardInfo {
-  Header header;
+  Header header = {};
   int64_t header_bytes = 0;
   int64_t payload_bytes = 0;
-  int64_t per_record = 0;   // logical f32 elements per row
-  int64_t row_bytes = 0;    // encoded bytes per row
+  int64_t per_record = 0;  // logical f32 elements per row
+  int64_t row_bytes = 0;   // encoded bytes per row
   ShardDtype dtype = ShardDtype::kF32;
-  bool has_footer = false;  // false: legacy v1 (no checksums to verify)
   ShardFooter footer;
 };
 
-// Validates a header already read from disk against the actual file size:
-// magic/dtype, rank bounds, non-negative dims, overflow-safe payload size,
-// and an exact size match against the v3/v2 (footer) or v1 (legacy) layout.
+// The one shard parser. `head` holds the first min(file_size,
+// kMaxHeaderBytes) bytes of the file and `tail` its last kShardFooterBytes
+// (read only once the size check proves they exist). Checks magic, dtype,
+// rank bounds, overflow-safe dims, the exact size header + payload + footer,
+// the footer's own checksum, and the footer's header CRC and payload size.
 // A corrupt header can therefore never drive a huge or undersized
-// allocation. Fills everything except footer verification (the footer bytes
-// still need to be read and checked by the caller for the buffered path).
-Status ValidateHeader(const Header& h, int64_t file_size,
-                      const std::string& key, ShardInfo* info) {
-  if (h.magic != kMagic && h.magic != kMagicV3) {
+// allocation. The payload checksum is left to the caller, which verifies it
+// over the payload bytes it reads anyway.
+Status ParseShard(const char* head, int64_t file_size, const char* tail,
+                  const std::string& key, ShardInfo* info) {
+  Header h = {};
+  if (file_size < HeaderBytes(0)) {
+    return CorruptionError("short read on tensor header: " + key);
+  }
+  std::memcpy(&h, head, static_cast<size_t>(HeaderBytes(0)));
+  if (h.magic != kMagic) {
     return CorruptionError("bad tensor-file magic: " + key);
   }
-  if (IsV3(h) && h.dtype != static_cast<int64_t>(ShardDtype::kInt8) &&
-      h.dtype != static_cast<int64_t>(ShardDtype::kF16) &&
-      h.dtype != static_cast<int64_t>(ShardDtype::kF32)) {
+  if (h.dtype != static_cast<int64_t>(ShardDtype::kF32) &&
+      h.dtype != static_cast<int64_t>(ShardDtype::kInt8) &&
+      h.dtype != static_cast<int64_t>(ShardDtype::kF16)) {
     return CorruptionError("unknown shard dtype on disk: " + key);
   }
   if (h.rank < 1 || h.rank > 8) {
     return CorruptionError("unsupported tensor rank on disk: " + key);
   }
+  const int64_t header_bytes = HeaderBytes(h.rank);
+  if (file_size < header_bytes) {
+    return CorruptionError("short read on tensor dims: " + key);
+  }
+  std::memcpy(h.dims, head + HeaderBytes(0),
+              static_cast<size_t>(h.rank) * sizeof(int64_t));
   const int64_t payload = PayloadBytesFor(h);
   if (payload < 0) {
     return CorruptionError("corrupt tensor dims on disk: " + key);
   }
-  info->header = h;
-  info->header_bytes = HeaderBytesFor(h);
-  info->payload_bytes = payload;
-  info->per_record = PerRecordElementsFor(h);
-  info->dtype = IsV3(h) ? static_cast<ShardDtype>(h.dtype) : ShardDtype::kF32;
-  info->row_bytes = ShardRowBytes(info->dtype, info->per_record);
-  const int64_t bare_size = info->header_bytes + payload;
-  if (file_size == bare_size) {
-    if (IsV3(h)) {  // v3 files are always sealed by a footer
-      return CorruptionError("tensor file size mismatch (torn write?): " +
-                             key);
-    }
-    info->has_footer = false;  // legacy footer-less shard, read-only trust
-    return Status::OK();
+  if (payload != file_size - header_bytes - kShardFooterBytes) {
+    return CorruptionError("tensor file size mismatch (torn write?): " + key);
   }
-  if (file_size == bare_size + kShardFooterBytes) {
-    info->has_footer = true;  // footer bytes verified by the caller
-    return Status::OK();
+  if (!DecodeShardFooter(tail, &info->footer)) {
+    return CorruptionError("torn tensor footer: " + key);
   }
-  return CorruptionError("tensor file size mismatch (torn write?): " + key);
-}
-
-// Cross-checks a decoded footer against the header it should cover.
-Status CheckFooterAgainstHeader(const ShardInfo& info, const std::string& key) {
-  char buf[kMaxHeaderBytes];
-  const int64_t n = SerializeHeader(info.header, buf);
-  if (info.footer.header_crc != Crc32c(0, buf, static_cast<size_t>(n))) {
+  if (info->footer.header_crc !=
+      Crc32c(0, &h, static_cast<size_t>(header_bytes))) {
     return CorruptionError("header checksum mismatch: " + key);
   }
-  if (info.footer.payload_bytes != info.payload_bytes) {
+  if (info->footer.payload_bytes != payload) {
     return CorruptionError("footer/header payload size mismatch: " + key);
   }
+  info->header = h;
+  info->header_bytes = header_bytes;
+  info->payload_bytes = payload;
+  info->per_record = PerRecordElementsFor(h);
+  info->dtype = static_cast<ShardDtype>(h.dtype);
+  info->row_bytes = ShardRowBytes(info->dtype, info->per_record);
   return Status::OK();
 }
 
-// Reads and validates header + footer of an open shard file. On return the
-// stream position is unspecified; payload checksums are NOT yet verified
-// (callers do that while streaming the payload they read anyway).
+// Reads the header prefix and the footer of an open shard file and parses
+// them. On return the stream position is unspecified; the payload checksum
+// is NOT yet verified (callers do that while streaming the payload).
 Status ReadShardInfo(std::FILE* f, int64_t file_size, const std::string& key,
                      ShardInfo* info) {
-  Header h;
-  if (Seek64(f, 0, SEEK_SET) != 0 ||
-      std::fread(&h.magic, sizeof(int64_t), 1, f) != 1) {
+  char head[kMaxHeaderBytes];
+  char tail[kShardFooterBytes] = {};
+  const size_t head_n =
+      static_cast<size_t>(std::min(file_size, kMaxHeaderBytes));
+  if (Seek64(f, 0, SEEK_SET) != 0 || std::fread(head, 1, head_n, f) != head_n) {
     return CorruptionError("short read on tensor header: " + key);
   }
-  if (h.magic != kMagic && h.magic != kMagicV3) {
-    return CorruptionError("bad tensor-file magic: " + key);
-  }
-  if (IsV3(h) && std::fread(&h.dtype, sizeof(int64_t), 1, f) != 1) {
-    return CorruptionError("short read on tensor header: " + key);
-  }
-  if (std::fread(&h.rank, sizeof(int64_t), 1, f) != 1) {
-    return CorruptionError("short read on tensor header: " + key);
-  }
-  if (h.rank < 1 || h.rank > 8) {
-    return CorruptionError("unsupported tensor rank on disk: " + key);
-  }
-  if (std::fread(h.dims, sizeof(int64_t), static_cast<size_t>(h.rank), f) !=
-      static_cast<size_t>(h.rank)) {
-    return CorruptionError("short read on tensor dims: " + key);
-  }
-  NAUTILUS_RETURN_IF_ERROR(ValidateHeader(h, file_size, key, info));
-  if (!info->has_footer) return Status::OK();
-  char bytes[kShardFooterBytes];
-  if (Seek64(f, file_size - kShardFooterBytes, SEEK_SET) != 0 ||
-      std::fread(bytes, 1, sizeof(bytes), f) != sizeof(bytes)) {
+  if (file_size >= kShardFooterBytes &&
+      (Seek64(f, file_size - kShardFooterBytes, SEEK_SET) != 0 ||
+       std::fread(tail, 1, sizeof(tail), f) != sizeof(tail))) {
     return CorruptionError("short read on tensor footer: " + key);
   }
-  switch (DecodeShardFooter(bytes, &info->footer)) {
-    case FooterState::kValid:
-      break;
-    case FooterState::kAbsent:
-    case FooterState::kTorn:
-      return CorruptionError("torn tensor footer: " + key);
-  }
-  return CheckFooterAgainstHeader(*info, key);
+  return ParseShard(head, file_size, tail, key, info);
 }
 
-// Full offline verification of one shard file: structural cross-checks plus
-// a streaming payload CRC pass for v2 files. Legacy v1 files pass on
-// structure alone (no checksum exists to verify); *legacy reports which.
-Status VerifyShardFile(const std::string& path, const std::string& key,
-                       bool* legacy) {
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec) return CorruptionError("cannot stat shard: " + key);
-  File f(path, "rb");
-  if (!f.ok()) return CorruptionError("cannot open shard: " + key);
-  ShardInfo info;
-  NAUTILUS_RETURN_IF_ERROR(
-      ReadShardInfo(f.get(), static_cast<int64_t>(size), key, &info));
-  *legacy = !info.has_footer;
-  if (!info.has_footer) return Status::OK();
-  if (Seek64(f.get(), info.header_bytes, SEEK_SET) != 0) {
-    return Status::IoError("seek failed: " + key);
-  }
-  std::vector<char> buf(1 << 20);
-  uint32_t payload_crc = 0;
-  int64_t left = info.payload_bytes;
-  while (left > 0) {
-    const size_t chunk = static_cast<size_t>(
-        std::min<int64_t>(left, static_cast<int64_t>(buf.size())));
-    if (std::fread(buf.data(), 1, chunk, f.get()) != chunk) {
-      return CorruptionError("short read on shard payload: " + key);
-    }
-    payload_crc = Crc32c(payload_crc, buf.data(), chunk);
-    left -= static_cast<int64_t>(chunk);
-  }
-  if (payload_crc != info.footer.payload_crc) {
+// Parses a fully mapped shard and verifies its payload checksum.
+Status ParseAndVerifyMapped(const MappedFile& file, const std::string& key,
+                            ShardInfo* info) {
+  const char* data = file.data();
+  const int64_t size = file.size();
+  NAUTILUS_RETURN_IF_ERROR(ParseShard(
+      data, size, size >= kShardFooterBytes ? data + size - kShardFooterBytes
+                                            : nullptr,
+      key, info));
+  const uint32_t payload_crc = Crc32c(
+      0, data + info->header_bytes, static_cast<size_t>(info->payload_bytes));
+  if (payload_crc != info->footer.payload_crc) {
     return CorruptionError("payload checksum mismatch: " + key);
   }
   return Status::OK();
@@ -360,72 +294,12 @@ Status VerifyShardFile(const std::string& path, const std::string& key,
 
 Status WriteHeader(std::FILE* f, const Shape& shape, ShardDtype dtype,
                    uint32_t* header_crc) {
-  Header h;
-  h.magic = dtype == ShardDtype::kF32 ? kMagic : kMagicV3;
-  h.dtype = static_cast<int64_t>(dtype);
-  h.rank = shape.rank();
+  Header h = {kMagic, static_cast<int64_t>(dtype), shape.rank(), {}};
   for (int i = 0; i < shape.rank(); ++i) h.dims[i] = shape.dim(i);
-  char buf[kMaxHeaderBytes];
-  const int64_t n = SerializeHeader(h, buf);
-  *header_crc = Crc32c(0, buf, static_cast<size_t>(n));
-  if (std::fwrite(buf, 1, static_cast<size_t>(n), f) !=
-      static_cast<size_t>(n)) {
+  const size_t n = static_cast<size_t>(HeaderBytes(h.rank));
+  *header_crc = Crc32c(0, &h, n);
+  if (std::fwrite(&h, 1, n, f) != n) {
     return Status::IoError("short write on tensor header");
-  }
-  return Status::OK();
-}
-
-// Validates header, footer, and payload checksum of a fully mapped file and
-// fills `info`. memcpy keeps the int64 loads alignment-safe regardless of
-// mapping origin.
-Status ParseAndVerifyMapped(const char* data, int64_t size,
-                            const std::string& key, ShardInfo* info) {
-  if (size < HeaderBytes(0)) {
-    return CorruptionError("short read on tensor header: " + key);
-  }
-  Header h;
-  int64_t off = 0;
-  std::memcpy(&h.magic, data, sizeof(int64_t));
-  off += sizeof(int64_t);
-  if (h.magic != kMagic && h.magic != kMagicV3) {
-    return CorruptionError("bad tensor-file magic: " + key);
-  }
-  if (IsV3(h)) {
-    if (size < off + static_cast<int64_t>(sizeof(int64_t))) {
-      return CorruptionError("short read on tensor header: " + key);
-    }
-    std::memcpy(&h.dtype, data + off, sizeof(int64_t));
-    off += sizeof(int64_t);
-  }
-  if (size < off + static_cast<int64_t>(sizeof(int64_t))) {
-    return CorruptionError("short read on tensor header: " + key);
-  }
-  std::memcpy(&h.rank, data + off, sizeof(int64_t));
-  off += sizeof(int64_t);
-  if (h.rank < 1 || h.rank > 8) {
-    return CorruptionError("unsupported tensor rank on disk: " + key);
-  }
-  if (size < off + h.rank * static_cast<int64_t>(sizeof(int64_t))) {
-    return CorruptionError("short read on tensor dims: " + key);
-  }
-  std::memcpy(h.dims, data + off, static_cast<size_t>(h.rank) * sizeof(int64_t));
-  NAUTILUS_RETURN_IF_ERROR(ValidateHeader(h, size, key, info));
-  if (info->has_footer) {
-    switch (DecodeShardFooter(data + size - kShardFooterBytes,
-                              &info->footer)) {
-      case FooterState::kValid:
-        break;
-      case FooterState::kAbsent:
-      case FooterState::kTorn:
-        return CorruptionError("torn tensor footer: " + key);
-    }
-    NAUTILUS_RETURN_IF_ERROR(CheckFooterAgainstHeader(*info, key));
-    const uint32_t payload_crc =
-        Crc32c(0, data + info->header_bytes,
-               static_cast<size_t>(info->payload_bytes));
-    if (payload_crc != info->footer.payload_crc) {
-      return CorruptionError("payload checksum mismatch: " + key);
-    }
   }
   return Status::OK();
 }
@@ -436,11 +310,11 @@ Shape ShapeOf(const Header& h) {
   return Shape(dims);
 }
 
-// --- v3 row codecs ---------------------------------------------------------
+// --- Quantized row codecs --------------------------------------------------
 
-// Encodes `rows` logical f32 rows of `per_record` elements into the v3
-// on-disk representation. int8: [f32 absmax scale][per_record int8] per row;
-// f16: 2 bytes per element. Returns the encoded bytes.
+// Encodes `rows` logical f32 rows of `per_record` elements into the on-disk
+// representation of a quantized dtype. int8: [f32 absmax scale][per_record
+// int8] per row; f16: 2 bytes per element. Returns the encoded bytes.
 std::vector<char> EncodeRows(ShardDtype dtype, const float* src, int64_t rows,
                              int64_t per_record) {
   const int64_t row_bytes = ShardRowBytes(dtype, per_record);
@@ -469,7 +343,7 @@ std::vector<char> EncodeRows(ShardDtype dtype, const float* src, int64_t rows,
   return enc;
 }
 
-// Inverse of EncodeRows: decodes `rows` v3-encoded rows back to f32.
+// Inverse of EncodeRows: decodes `rows` encoded rows back to f32.
 void DecodeRows(ShardDtype dtype, const char* enc, int64_t rows,
                 int64_t per_record, float* dst) {
   const int64_t row_bytes = ShardRowBytes(dtype, per_record);
@@ -624,10 +498,8 @@ Status TensorStore::Put(const std::string& key, const Tensor& value,
   NAUTILUS_RETURN_IF_ERROR(SyncParentDir(path, durability));
   cache_.Invalidate(key);
   if (stats_ != nullptr) {
-    stats_->RecordWrite(
-        HeaderBytes(value.shape().rank()) +
-        (dtype == ShardDtype::kF32 ? 0 : static_cast<int64_t>(sizeof(int64_t))) +
-        payload_bytes + kShardFooterBytes);
+    stats_->RecordWrite(HeaderBytes(value.shape().rank()) + payload_bytes +
+                        kShardFooterBytes);
   }
   CountShardWrite(dtype);
   FaultInjector::Global().OnWriteCommitted(path);
@@ -676,28 +548,8 @@ Status TensorStore::AppendRows(const std::string& key, const Tensor& rows,
       return Status::InvalidArgument("append payload size mismatch for " +
                                      key);
     }
-    // Running payload checksum: extended from the stored footer, or — for a
-    // legacy v1 file being upgraded in place — recomputed over the existing
-    // payload in one streaming pass.
-    uint32_t payload_crc = 0;
-    if (info.has_footer) {
-      payload_crc = info.footer.payload_crc;
-    } else {
-      if (Seek64(f.get(), info.header_bytes, SEEK_SET) != 0) {
-        return Status::IoError("seek failed: " + key);
-      }
-      std::vector<char> buf(1 << 20);
-      int64_t left = info.payload_bytes;
-      while (left > 0) {
-        const size_t chunk = static_cast<size_t>(
-            std::min<int64_t>(left, static_cast<int64_t>(buf.size())));
-        if (std::fread(buf.data(), 1, chunk, f.get()) != chunk) {
-          return CorruptionError("short read on legacy payload: " + key);
-        }
-        payload_crc = Crc32c(payload_crc, buf.data(), chunk);
-        left -= static_cast<int64_t>(chunk);
-      }
-    }
+    // Running payload checksum, extended from the stored footer.
+    uint32_t payload_crc = info.footer.payload_crc;
     // Commit order: (1) new payload rows land over the old footer, (2) the
     // header row count bumps, (3) a fresh footer seals the file, (4) the
     // durability policy pushes it down and the handle closes. A crash at any
@@ -731,14 +583,13 @@ Status TensorStore::AppendRows(const std::string& key, const Tensor& rows,
     Header updated = h;
     updated.dims[0] = h.dims[0] + rows.shape().dim(0);
     const int64_t new_rows = updated.dims[0];
-    if (Seek64(f.get(), RowCountOffset(h), SEEK_SET) != 0 ||
+    if (Seek64(f.get(), kRowCountOffset, SEEK_SET) != 0 ||
         std::fwrite(&new_rows, sizeof(int64_t), 1, f.get()) != 1) {
       return Status::IoError("cannot update row count: " + key);
     }
-    char hdr_buf[kMaxHeaderBytes];
-    const int64_t hdr_n = SerializeHeader(updated, hdr_buf);
     ShardFooter footer;
-    footer.header_crc = Crc32c(0, hdr_buf, static_cast<size_t>(hdr_n));
+    footer.header_crc =
+        Crc32c(0, &updated, static_cast<size_t>(info.header_bytes));
     footer.payload_crc = payload_crc;
     footer.payload_bytes = info.payload_bytes + appended_bytes;
     if (Seek64(f.get(), info.header_bytes + footer.payload_bytes, SEEK_SET) !=
@@ -778,8 +629,7 @@ Result<std::shared_ptr<const Tensor>> TensorStore::LoadShared(
   // shard can enter the cache, so cache hits serve pre-verified bytes and
   // stay checksum-free on the hot path.
   ShardInfo info;
-  NAUTILUS_RETURN_IF_ERROR(
-      ParseAndVerifyMapped(mapped->data(), mapped->size(), key, &info));
+  NAUTILUS_RETURN_IF_ERROR(ParseAndVerifyMapped(*mapped, key, &info));
   const Shape shape = ShapeOf(info.header);
   span.AddArg("key", key)
       .AddArg("bytes", mapped->size())
@@ -813,10 +663,6 @@ Result<Tensor> TensorStore::Get(const std::string& key) const {
   NAUTILUS_ASSIGN_OR_RETURN(std::shared_ptr<const Tensor> shard,
                             LoadShared(key));
   return Tensor::FromBorrowed(shard->data(), shard->shape(), shard);
-}
-
-Result<Tensor> TensorStore::GetView(const std::string& key) const {
-  return Get(key);
 }
 
 Result<Tensor> TensorStore::GetRowsView(const std::string& key, int64_t begin,
@@ -870,24 +716,12 @@ Result<Tensor> TensorStore::GetRows(const std::string& key, int64_t begin,
   // Slice offsets in ENCODED bytes (row-aligned for every dtype).
   const int64_t slice_begin = begin * info.row_bytes;
   const int64_t slice_bytes = (end - begin) * info.row_bytes;
-  if (!info.has_footer) {
-    // Legacy v1 shard (always f32): no checksum exists, read just the slice.
-    if (Seek64(f.get(), info.header_bytes + slice_begin, SEEK_SET) != 0) {
-      return Status::IoError("seek failed: " + key);
-    }
-    const size_t n = static_cast<size_t>(out.NumElements());
-    if (n > 0 && std::fread(out.data(), sizeof(float), n, f.get()) != n) {
-      return CorruptionError("short row read: " + key);
-    }
-    if (stats_ != nullptr) stats_->RecordRead(out.SizeBytes());
-    return out;
-  }
-  // v2/v3 shard: the payload checksum covers the whole payload, so the
-  // forced-disk path streams every payload byte once — checksumming as it
-  // goes and copying the requested slice out of the stream — before any
-  // float is surfaced. A bit-flip anywhere in the shard (including a v3
-  // row's SCALE bytes) fails the read even when the flip is outside the
-  // requested rows (it may sit under a row served next).
+  // The payload checksum covers the whole payload, so the forced-disk path
+  // streams every payload byte once — checksumming as it goes and copying
+  // the requested slice out of the stream — before any float is surfaced.
+  // A bit-flip anywhere in the shard (including an int8 row's SCALE bytes)
+  // fails the read even when the flip is outside the requested rows (it may
+  // sit under a row served next).
   if (Seek64(f.get(), info.header_bytes, SEEK_SET) != 0) {
     return Status::IoError("seek failed: " + key);
   }
@@ -1053,14 +887,16 @@ ScrubReport TensorStore::Scrub() {
     if (!known_key) key = p.filename().string();
     ++report.checked;
     checked_counter.Add();
-    bool legacy = false;
-    const Status verdict = VerifyShardFile(p.string(), key, &legacy);
+    // The same map + parse + payload-CRC check a cold Get runs, minus the
+    // cache fill.
+    auto mapped_or = MappedFile::Open(p.string());
+    ShardInfo info;
+    const Status verdict = mapped_or.ok()
+                               ? ParseAndVerifyMapped(*mapped_or.value(), key,
+                                                      &info)
+                               : mapped_or.status();
     if (verdict.ok()) {
-      if (legacy) {
-        ++report.legacy;
-      } else {
-        ++report.ok;
-      }
+      ++report.ok;
       continue;
     }
     // Quarantine-by-rename: the key now reads as absent, so the
@@ -1080,7 +916,6 @@ ScrubReport TensorStore::Scrub() {
   std::sort(report.quarantined_keys.begin(), report.quarantined_keys.end());
   span.AddArg("checked", report.checked)
       .AddArg("ok", report.ok)
-      .AddArg("legacy", report.legacy)
       .AddArg("quarantined", report.quarantined);
   return report;
 }

@@ -21,9 +21,9 @@ struct KeyRange {
   int64_t end = -1;
 };
 
-/// On-disk element encoding of a shard payload. v1/v2 files are always f32;
-/// v3 files carry the dtype in their header. The header dims always describe
-/// the LOGICAL f32 tensor — reads of any dtype return the same shape.
+/// On-disk element encoding of a shard payload, stored in the header. The
+/// header dims always describe the LOGICAL f32 tensor — reads of any dtype
+/// return the same shape.
 enum class ShardDtype : int64_t { kF32 = 0, kInt8 = 1, kF16 = 2 };
 
 const char* ShardDtypeName(ShardDtype dtype);
@@ -38,8 +38,7 @@ int64_t ShardRowBytes(ShardDtype dtype, int64_t per_record);
 /// Outcome of a TensorStore::Scrub pass over the shard directory.
 struct ScrubReport {
   int64_t checked = 0;      // .tns files examined
-  int64_t ok = 0;           // verified clean (v2, checksums match)
-  int64_t legacy = 0;       // footer-less v1 files (structurally sound)
+  int64_t ok = 0;           // verified clean (structure and checksums)
   int64_t quarantined = 0;  // failed verification, renamed aside
   std::vector<std::string> quarantined_keys;  // decoded keys, sorted
 };
@@ -48,22 +47,21 @@ struct ScrubReport {
 /// key; rows (records) can be appended incrementally as new labeled data
 /// arrives each model-selection cycle (Section 4.2.3 of the Nautilus paper).
 ///
-/// File format (v2): magic, rank, dims (int64 little-endian), float32 data,
-/// then a 32-byte CRC32C footer (integrity.h) covering header and payload;
-/// the payload checksum is extended in place on AppendRows. Legacy v1 files
-/// (no footer) remain readable but unverifiable. Every read path — buffered,
-/// mmap, and cache fill — verifies checksums before handing out bytes, so
-/// torn or bit-flipped shards surface as IoError, never as wrong floats.
-/// Writes honor the process durability policy (integrity.h,
-/// NAUTILUS_DURABILITY / --durability).
+/// File format, one layout for every dtype: magic, dtype, rank, dims (int64
+/// little-endian), the payload, then a mandatory 32-byte CRC32C footer
+/// (integrity.h) covering header and payload; the payload checksum is
+/// extended in place on AppendRows. A file is valid only at exactly
+/// header + payload + footer bytes. Every read path — buffered, mmap, cache
+/// fill, and Scrub — verifies checksums before trusting bytes, so torn or
+/// bit-flipped shards surface as IoError, never as wrong floats. Writes
+/// honor the process durability policy (integrity.h, NAUTILUS_DURABILITY /
+/// --durability).
 ///
-/// Quantized shards (v3): when a writer passes ShardDtype::kInt8 / kF16 the
-/// file gets a v3 header (magic, dtype, rank, dims) and a row-encoded
-/// reduced-precision payload (see ShardRowBytes). v3 files always carry the
-/// CRC32C footer — it covers the quantized bytes and the per-row scales.
-/// Reads decode back to f32 once at cache-fill time (dequant-on-view), so
-/// warm reads stay zero-copy f32 views; legacy v1/v2 files stay readable
-/// alongside.
+/// Quantized shards: when a writer passes ShardDtype::kInt8 / kF16 the
+/// payload is row-encoded at reduced precision (see ShardRowBytes) and the
+/// footer covers the quantized bytes and the per-row scales. Reads decode
+/// back to f32 once at cache-fill time (dequant-on-view), so warm reads stay
+/// zero-copy f32 views.
 ///
 /// Reads are zero-copy: a miss mmaps the shard (`MappedFile`) and parks a
 /// borrowed tensor in a byte-budgeted LRU cache (`IoCache`); hits and misses
@@ -87,7 +85,7 @@ class TensorStore {
 
   /// Writes (replacing any previous value). Writes a temp file and renames
   /// it into place so concurrently live mmap views never see truncation.
-  /// Non-kF32 dtypes write a v3 quantized shard (lossy: int8 keeps ~2.4
+  /// Non-kF32 dtypes write a quantized shard (lossy: int8 keeps ~2.4
   /// significant digits per row, f16 ~3.3 — use only for recomputable feeds,
   /// never for parameters).
   Status Put(const std::string& key, const Tensor& value,
@@ -99,20 +97,17 @@ class TensorStore {
   Status AppendRows(const std::string& key, const Tensor& rows,
                     ShardDtype dtype = ShardDtype::kF32);
 
-  /// Stored payload encoding of `key` (kF32 for v1/v2 files or when absent).
+  /// Stored payload encoding of `key` (kF32 when absent or unreadable).
   ShardDtype DtypeOf(const std::string& key) const;
 
   /// Reads the whole tensor. Returns a zero-copy view backed by the shard
   /// cache / file mapping; mutating the result detaches it (copy-on-write).
   Result<Tensor> Get(const std::string& key) const;
 
-  /// Explicitly view-typed alias of Get for call sites that want to state
-  /// they rely on zero-copy semantics.
-  Result<Tensor> GetView(const std::string& key) const;
-
   /// Reads only rows [begin, end). On a cache hit this is a zero-copy slice
-  /// view; on a miss it reads exactly the requested byte range from disk
-  /// (64-bit seek) without populating the cache.
+  /// view; on a miss it streams the whole payload from disk once, verifying
+  /// its checksum and copying out the requested rows, without populating
+  /// the cache.
   Result<Tensor> GetRows(const std::string& key, int64_t begin,
                          int64_t end) const;
 
@@ -141,8 +136,9 @@ class TensorStore {
   /// Removes every stored tensor.
   Status Clear();
 
-  /// Startup integrity pass: walks every shard, verifies structure and
-  /// checksums, and quarantines failures by renaming them to
+  /// Startup integrity pass: walks every shard, verifies it with the same
+  /// map + parse + checksum check a cold Get runs (without filling the
+  /// cache), and quarantines failures by renaming them to
   /// `<shard>.tns.quarantined` (so Contains/Get report the key as absent and
   /// the materializer recomputes it). Also sweeps stale `.tmp` files left by
   /// crashed writers. Feeds `store.scrub.*` metrics and the `store.scrub`

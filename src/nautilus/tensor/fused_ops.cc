@@ -10,7 +10,6 @@
 
 #include "nautilus/tensor/activation.h"
 #include "nautilus/tensor/ops.h"
-#include "nautilus/tensor/quant.h"
 #include "nautilus/util/logging.h"
 #include "nautilus/util/parallel.h"
 
@@ -104,13 +103,6 @@ void OpForwardTile(const OpDesc& op, const std::vector<const float*>& srcs,
     case OpKind::kTanh:
       ops::TanhBatch(srcs[0], dst, n);
       break;
-    case OpKind::kRoundTripF16: {
-      const float* src = srcs[0];
-      for (int64_t i = 0; i < n; ++i) {
-        dst[i] = quant::F16ToF32(quant::F32ToF16(src[i]));
-      }
-      break;
-    }
     case OpKind::kLayerNorm: {
       const float* src = srcs[0];
       const float* pg = op.gamma->data();
@@ -213,8 +205,6 @@ const char* OpKindName(OpKind kind) {
       return "gelu";
     case OpKind::kTanh:
       return "tanh";
-    case OpKind::kRoundTripF16:
-      return "f16rt";
     case OpKind::kLayerNorm:
       return "layernorm";
     case OpKind::kSoftmax:
@@ -421,8 +411,6 @@ void ChainBackward(const ChainPlan& plan,
             ops::GeluGradMulBatch(x, g, static_cast<int64_t>(tile_floats));
             break;
           }
-          case OpKind::kRoundTripF16:
-            break;  // straight-through estimator
           case OpKind::kLayerNorm: {
             const TileAux& a = aux[static_cast<size_t>(i)];
             const float* pg = op.gamma->data();

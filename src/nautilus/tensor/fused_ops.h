@@ -51,7 +51,6 @@ enum class OpKind {
   kRelu,
   kGelu,
   kTanh,
-  kRoundTripF16,  // f32 -> f16 -> f32 quant round trip (straight-through grad)
   kLayerNorm,     // row reduction: mean/var normalize + affine
   kSoftmax,       // row reduction: max/exp/normalize
   kMeanPool,      // sequence reduction [b, s, h] -> [b, h]; terminal only

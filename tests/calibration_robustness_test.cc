@@ -113,16 +113,23 @@ TEST_F(StoreFaultTest, AbsurdRankRejected) {
   storage::IoStats stats;
   storage::TensorStore store(dir_.string(), &stats);
   ASSERT_TRUE(store.Put("t", Tensor(Shape({2, 2}))).ok());
-  // Overwrite the stored file with a header claiming rank 99.
+  // Overwrite the stored file with a well-formed magic and dtype followed by
+  // a header claiming rank 99: the rank check itself must reject it.
   {
     std::ofstream f(SoleTnsFile(), std::ios::binary);
-    const int64_t magic = 0x4e41555431000001;
+    const int64_t magic = 0x4e41555433000001;
+    const int64_t dtype = 0;  // f32
     const int64_t rank = 99;
     f.write(reinterpret_cast<const char*>(&magic), 8);
+    f.write(reinterpret_cast<const char*>(&dtype), 8);
     f.write(reinterpret_cast<const char*>(&rank), 8);
   }
   auto result = store.Get("t");
-  EXPECT_FALSE(result.ok());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("unsupported tensor rank"),
+            std::string::npos)
+      << result.status().message();
 }
 
 TEST_F(StoreFaultTest, KeySanitizationKeepsKeysDistinctFiles) {

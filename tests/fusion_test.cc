@@ -177,30 +177,6 @@ TEST(FusedChainTest, StopOpLimitsBackwardToGradFrontier) {
   EXPECT_TRUE(BitsEqual(dbeta_acc, dbeta));
 }
 
-TEST(FusedChainTest, F16SoftmaxChainBitwise) {
-  Rng rng(34);
-  Tensor x = Tensor::Randn(Shape({300, 40}), &rng, 2.0f);
-  Tensor dy = Tensor::Randn(Shape({300, 40}), &rng, 1.0f);
-
-  ChainPlan plan;
-  plan.ops.push_back(OpDesc{.kind = OpKind::kRoundTripF16});
-  plan.ops.push_back(OpDesc{.kind = OpKind::kSoftmax});
-  const std::vector<std::vector<const Tensor*>> inputs = {{&x}, {nullptr}};
-
-  Tensor xr = ops::RoundTripF16(x);
-  Tensor y = ops::SoftmaxForward(xr);
-  Tensor g = ops::SoftmaxBackward(dy, y);  // f16 round trip: straight-through
-
-  for (int degree : {1, 2, 8}) {
-    ScopedDegree d(degree);
-    Tensor out = fused::ChainForward(plan, inputs);
-    EXPECT_TRUE(BitsEqual(out, y)) << "forward differs at degree " << degree;
-    std::vector<std::vector<Tensor>> igrads;
-    fused::ChainBackward(plan, inputs, dy, /*stop_op=*/0, &igrads);
-    EXPECT_TRUE(BitsEqual(igrads[0][0], g)) << "degree " << degree;
-  }
-}
-
 TEST(FusedChainTest, TanhMeanPoolChainBitwise) {
   Rng rng(35);
   const int64_t batch = 60, seq = 5, dim = 64;

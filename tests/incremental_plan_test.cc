@@ -1,22 +1,20 @@
-// Tests of incremental replanning and background materialization: MILP
-// warm starts must not change what the solver returns, background appends
-// must produce byte-identical feeds, and a failed background append must
-// fall back to a synchronous rebuild without corrupting model selection.
+// Tests of incremental replanning and background materialization: the
+// cross-cycle planner cache must reuse plans only while its inputs are
+// unchanged, background appends must produce byte-identical feeds, and a
+// failed background append must fall back to a synchronous rebuild without
+// corrupting model selection.
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "nautilus/core/materialization.h"
 #include "nautilus/core/model_selection.h"
 #include "nautilus/core/multi_model.h"
 #include "nautilus/core/planner.h"
 #include "nautilus/data/synthetic.h"
 #include "nautilus/obs/metrics.h"
-#include "nautilus/solver/milp.h"
 #include "nautilus/storage/fault_injection.h"
 #include "nautilus/storage/io_stats.h"
 #include "nautilus/storage/tensor_store.h"
@@ -90,99 +88,8 @@ class ParallelismEnv : public ::testing::Environment {
     ::testing::AddGlobalTestEnvironment(new ParallelismEnv);
 
 // ---------------------------------------------------------------------------
-// (a) Warm-started MILP solves: bit-identical results, fingerprint hits
-//     fast, perturbed programs re-searched exactly.
+// (a) Cross-cycle planner cache: reuse only while the inputs are unchanged.
 // ---------------------------------------------------------------------------
-
-TEST(MilpWarmStartTest, FingerprintHitIsBitIdenticalAndFast) {
-  zoo::BertLikeModel source(zoo::BertConfig::TinyScale(), 21);
-  Workload workload = MakeTinyWorkload(source, 6, 500);
-  MultiModelGraph mm(&workload, TestConfig());
-  MaterializationOptimizer optimizer(&mm);
-  const MilpProblem problem =
-      optimizer.BuildMilp(TestConfig().disk_budget_bytes, 500);
-
-  const int64_t hits_before = CounterValue("milp.warm_start.hits");
-  const MilpSolution cold = SolveMilp(problem);
-  ASSERT_EQ(cold.status, LpStatus::kOptimal);
-  ASSERT_GT(cold.nodes_explored, 0);
-
-  MilpWarmStart warm;
-  UpdateMilpWarmStart(problem, cold, &warm);
-  ASSERT_TRUE(warm.valid);
-
-  MilpOptions warm_options;
-  warm_options.warm_start = &warm;
-
-  // Re-solving the unchanged program must return the stored solution
-  // verbatim (no search at all) and therefore be bit-identical.
-  const MilpSolution hit = SolveMilp(problem, warm_options);
-  EXPECT_EQ(hit.status, LpStatus::kOptimal);
-  EXPECT_EQ(hit.objective, cold.objective);  // exact, not approximate
-  ASSERT_EQ(hit.x.size(), cold.x.size());
-  for (size_t i = 0; i < hit.x.size(); ++i) EXPECT_EQ(hit.x[i], cold.x[i]);
-  EXPECT_EQ(hit.nodes_explored, 0);
-  EXPECT_GE(CounterValue("milp.warm_start.hits"), hits_before + 1);
-
-  // Timing: the warm re-solve skips branch-and-bound entirely, so it must
-  // be at least 5x faster than the cold solve over repeated runs.
-  const int kReps = 5;
-  using Clock = std::chrono::steady_clock;
-  const auto cold_begin = Clock::now();
-  for (int i = 0; i < kReps; ++i) {
-    const MilpSolution s = SolveMilp(problem);
-    ASSERT_EQ(s.status, LpStatus::kOptimal);
-  }
-  const auto cold_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           cold_begin)
-          .count();
-  const auto warm_begin = Clock::now();
-  for (int i = 0; i < kReps; ++i) {
-    const MilpSolution s = SolveMilp(problem, warm_options);
-    ASSERT_EQ(s.nodes_explored, 0);
-  }
-  const auto warm_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           warm_begin)
-          .count();
-  EXPECT_GE(cold_ns, 5 * warm_ns)
-      << "cold " << cold_ns << "ns vs warm " << warm_ns << "ns";
-}
-
-TEST(MilpWarmStartTest, PerturbedProgramReSolvesExactly) {
-  zoo::BertLikeModel source(zoo::BertConfig::TinyScale(), 22);
-  Workload workload = MakeTinyWorkload(source, 5, 600);
-  MultiModelGraph mm(&workload, TestConfig());
-  MaterializationOptimizer optimizer(&mm);
-  const double budget = TestConfig().disk_budget_bytes;
-
-  MilpWarmStart warm;
-  const MaterializationChoice first =
-      optimizer.OptimizeWithMilp(budget, 500, MilpOptions(), &warm);
-  ASSERT_TRUE(warm.valid);
-
-  // Doubling r perturbs the objective and budget rows: the warm start may
-  // only seed the incumbent, never change the proven optimum.
-  const int64_t seeds_before = CounterValue("milp.warm_start.incumbent_seeds");
-  const int64_t hits_before = CounterValue("milp.warm_start.hits");
-  const MaterializationChoice cold = optimizer.OptimizeWithMilp(budget, 1000);
-  const MaterializationChoice warmed =
-      optimizer.OptimizeWithMilp(budget, 1000, MilpOptions(), &warm);
-  EXPECT_EQ(warmed.materialize, cold.materialize);
-  EXPECT_NEAR(warmed.total_cost_flops, cold.total_cost_flops,
-              1e-6 * cold.total_cost_flops);
-  EXPECT_EQ(CounterValue("milp.warm_start.hits"), hits_before);
-  EXPECT_GE(CounterValue("milp.warm_start.incumbent_seeds"),
-            seeds_before + 1);
-  (void)first;
-
-  // The warm start now stores the doubled program: re-solving it is a hit.
-  const MaterializationChoice again =
-      optimizer.OptimizeWithMilp(budget, 1000, MilpOptions(), &warm);
-  EXPECT_EQ(again.materialize, cold.materialize);
-  EXPECT_GE(CounterValue("milp.warm_start.hits"), hits_before + 1);
-}
 
 TEST(PlannerCacheTest, ReusesPlanUntilInputsChange) {
   zoo::BertLikeModel source(zoo::BertConfig::TinyScale(), 23);

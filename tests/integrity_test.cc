@@ -102,19 +102,19 @@ TEST_F(IntegrityTest, FooterRoundTripAndTearDetection) {
   char bytes[kShardFooterBytes];
   EncodeShardFooter(footer, bytes);
   ShardFooter decoded;
-  ASSERT_EQ(DecodeShardFooter(bytes, &decoded), FooterState::kValid);
+  ASSERT_TRUE(DecodeShardFooter(bytes, &decoded));
   EXPECT_EQ(decoded.header_crc, footer.header_crc);
   EXPECT_EQ(decoded.payload_crc, footer.payload_crc);
   EXPECT_EQ(decoded.payload_bytes, footer.payload_bytes);
   EXPECT_EQ(decoded.version, kShardFooterVersion);
-  // Damage inside the checksummed span: torn, not absent.
+  // Damage inside the checksummed span.
   char torn[kShardFooterBytes];
   std::copy(bytes, bytes + kShardFooterBytes, torn);
   torn[5] ^= 0x01;
-  EXPECT_EQ(DecodeShardFooter(torn, &decoded), FooterState::kTorn);
-  // No magic at all: candidate legacy file.
-  char absent[kShardFooterBytes] = {0};
-  EXPECT_EQ(DecodeShardFooter(absent, &decoded), FooterState::kAbsent);
+  EXPECT_FALSE(DecodeShardFooter(torn, &decoded));
+  // A zeroed tail (no magic at all) is simply invalid.
+  char zeroed[kShardFooterBytes] = {0};
+  EXPECT_FALSE(DecodeShardFooter(zeroed, &decoded));
 }
 
 TEST_F(IntegrityTest, DurabilityParsing) {
@@ -163,7 +163,6 @@ TEST_F(IntegrityTest, TruncatedShardFailsEveryReadPath) {
   }
   TensorStore store(dir_.string(), &stats);
   EXPECT_EQ(store.Get("t").status().code(), StatusCode::kIoError);
-  EXPECT_EQ(store.GetView("t").status().code(), StatusCode::kIoError);
   EXPECT_EQ(store.GetRows("t", 0, 8).status().code(), StatusCode::kIoError);
   EXPECT_EQ(store.GetRowsView("t", 0, 8).status().code(),
             StatusCode::kIoError);
@@ -234,51 +233,76 @@ TEST_F(IntegrityTest, TornAppendNeverServesPartialRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy v1 compatibility
+// The footer is mandatory
 // ---------------------------------------------------------------------------
 
-TEST_F(IntegrityTest, LegacyV1ShardsReadableAndUpgradedOnAppend) {
+// A shard with its footer cut off carries no checksum to verify, so it must
+// never be served: a payload bit flipped after the cut would otherwise reach
+// the caller as a wrong float.
+TEST_F(IntegrityTest, FooterlessShardIsRejected) {
   IoStats stats;
-  Tensor value(Shape({3, 2}), {1, 2, 3, 4, 5, 6});
+  Rng rng(6);
   {
     TensorStore store(dir_.string(), &stats);
-    ASSERT_TRUE(store.Put("legacy", value).ok());
+    ASSERT_TRUE(store.Put("t", Tensor::Randn(Shape({64, 16}), &rng, 1.0f))
+                    .ok());
   }
-  // Strip the footer: the file is now byte-identical to a v1 shard.
   const fs::path shard = FindShard(dir_);
   ASSERT_FALSE(shard.empty());
-  const int64_t v1_size =
+  const int64_t bare_size =
       static_cast<int64_t>(fs::file_size(shard)) - kShardFooterBytes;
-  fs::resize_file(shard, static_cast<uintmax_t>(v1_size));
+  fs::resize_file(shard, static_cast<uintmax_t>(bare_size));
+  FlipByte(shard, bare_size - 100);  // inside the payload
 
   TensorStore store(dir_.string(), &stats);
-  EXPECT_EQ(store.NumRows("legacy"), 3);
-  auto loaded = store.Get("legacy");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(Tensor::MaxAbsDiff(*loaded, value), 0.0f);
-  auto rows = store.GetRows("legacy", 1, 3);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_FLOAT_EQ(rows->at(0), 3.0f);
-
-  // Scrub accepts it as legacy, without quarantining.
-  ScrubReport report = store.Scrub();
+  EXPECT_EQ(store.Get("t").status().code(), StatusCode::kIoError);
+  EXPECT_EQ(store.GetRows("t", 0, 8).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(store.GetBatch({{"t", 0, -1}}).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(store.NumRows("t"), 0);
+  const ScrubReport report = store.Scrub();
   EXPECT_EQ(report.checked, 1);
-  EXPECT_EQ(report.legacy, 1);
-  EXPECT_EQ(report.quarantined, 0);
+  EXPECT_EQ(report.ok, 0);
+  EXPECT_EQ(report.quarantined, 1);
+  EXPECT_FALSE(store.Contains("t"));
+}
 
-  // Appending upgrades in place: footer materializes, checksums now cover
-  // the whole payload.
-  ASSERT_TRUE(store.AppendRows("legacy", Tensor(Shape({1, 2}), {7, 8})).ok());
-  EXPECT_EQ(static_cast<int64_t>(fs::file_size(FindShard(dir_))),
-            v1_size + 2 * static_cast<int64_t>(sizeof(float)) +
-                kShardFooterBytes);
-  report = store.Scrub();
-  EXPECT_EQ(report.ok, 1);
-  EXPECT_EQ(report.legacy, 0);
-  auto upgraded = store.Get("legacy");
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(upgraded->shape(), Shape({4, 2}));
-  EXPECT_FLOAT_EQ(upgraded->at(7), 8.0f);
+// An append that dies after its rows landed over the old footer and the
+// header row count was bumped, but before the new footer was written: the
+// file holds a complete-looking header and payload and no footer. Built here
+// from a real 3-row shard by cutting its footer and zeroing the appended row
+// (the row's bytes never reached the disk).
+TEST_F(IntegrityTest, AppendTornBeforeFooterIsRejected) {
+  IoStats stats;
+  {
+    TensorStore store(dir_.string(), &stats);
+    ASSERT_TRUE(
+        store.AppendRows("f", Tensor(Shape({2, 3}), {1, 2, 3, 4, 5, 6})).ok());
+    ASSERT_TRUE(store.AppendRows("f", Tensor(Shape({1, 3}), {7, 8, 9})).ok());
+    ASSERT_EQ(store.NumRows("f"), 3);
+  }
+  const fs::path shard = FindShard(dir_);
+  ASSERT_FALSE(shard.empty());
+  const int64_t bare_size =
+      static_cast<int64_t>(fs::file_size(shard)) - kShardFooterBytes;
+  fs::resize_file(shard, static_cast<uintmax_t>(bare_size));
+  {
+    std::fstream f(shard, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    const int64_t row_bytes = 3 * static_cast<int64_t>(sizeof(float));
+    f.seekp(bare_size - row_bytes);
+    const std::vector<char> zeros(static_cast<size_t>(row_bytes), 0);
+    f.write(zeros.data(), row_bytes);
+    ASSERT_TRUE(f.good());
+  }
+
+  TensorStore reopened(dir_.string(), &stats);
+  EXPECT_EQ(reopened.NumRows("f"), 0);
+  EXPECT_EQ(reopened.Get("f").status().code(), StatusCode::kIoError);
+  EXPECT_EQ(reopened.GetRows("f", 0, 3).status().code(), StatusCode::kIoError);
+  const ScrubReport report = reopened.Scrub();
+  EXPECT_EQ(report.quarantined, 1);
+  EXPECT_EQ(reopened.NumRows("f"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,7 +428,45 @@ TEST_F(IntegrityTest, TruncatedCheckpointRejected) {
   ASSERT_TRUE(store.SaveModel(model, "m", /*include_frozen=*/false).ok());
   FaultInjector::Global().Arm(FaultInjector::Kind::kTruncate, 1);
   ASSERT_TRUE(store.SaveModel(model, "m", /*include_frozen=*/false).ok());
-  EXPECT_EQ(store.LoadModel(model, "m").code(), StatusCode::kIoError);
+  const Status loaded = store.LoadModel(model, "m");
+  EXPECT_EQ(loaded.code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.message().find("footer"), std::string::npos)
+      << loaded.message();
+}
+
+// A checkpoint cut by exactly its footer must be rejected for the missing
+// footer, never parsed unverified, and must leave the model untouched.
+TEST_F(IntegrityTest, FooterlessCheckpointIsRejected) {
+  IoStats stats;
+  CheckpointStore store(dir_.string(), &stats);
+  zoo::BertLikeModel source(zoo::BertConfig::TinyScale(), 14);
+  graph::ModelGraph model = CheckpointModel(source, "fc", 400);
+  model.Validate();
+  ASSERT_TRUE(store.SaveModel(model, "m", /*include_frozen=*/false).ok());
+  fs::path ckpt;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".ckpt") ckpt = entry.path();
+  }
+  ASSERT_FALSE(ckpt.empty());
+  fs::resize_file(ckpt, fs::file_size(ckpt) - kShardFooterBytes);
+
+  std::vector<nn::Parameter*> params = TrainableParams(model);
+  ASSERT_FALSE(params.empty());
+  for (nn::Parameter* p : params) {
+    for (int64_t i = 0; i < p->value.NumElements(); ++i) {
+      p->value.at(i) = 123.0f;
+    }
+  }
+  const Status loaded = store.LoadModel(model, "m");
+  EXPECT_EQ(loaded.code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.message().find("footer"), std::string::npos)
+      << loaded.message();
+  for (nn::Parameter* p : params) {
+    for (int64_t i = 0; i < p->value.NumElements(); ++i) {
+      ASSERT_EQ(p->value.at(i), 123.0f) << "param " << p->name
+                                        << " partially applied";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -204,11 +204,25 @@ TEST(MetricsTest, HistogramExactCountAndSumUnderContention) {
   EXPECT_EQ(hist.max(), 7001);
 }
 
-TEST(MetricsTest, HistogramPercentileIsBucketUpperBound) {
-  Histogram hist;
-  for (int i = 0; i < 100; ++i) hist.Record(100);  // bucket [64, 128)
-  EXPECT_EQ(hist.ApproxPercentile(0.5), 128);
-  EXPECT_EQ(hist.ApproxPercentile(1.0), 128);
+TEST(MetricsTest, HistogramPercentileInterpolatesWithinBucket) {
+  // Constant samples: every percentile is exactly the recorded value, never
+  // the bucket's upper edge (128) above the observed max.
+  Histogram constant;
+  for (int i = 0; i < 100; ++i) constant.Record(100);  // bucket [64, 128)
+  EXPECT_EQ(constant.ApproxPercentile(0.0), 100);
+  EXPECT_EQ(constant.ApproxPercentile(0.5), 100);
+  EXPECT_EQ(constant.ApproxPercentile(0.99), 100);
+  EXPECT_EQ(constant.ApproxPercentile(1.0), 100);
+  // Samples spread inside one bucket: p50 and p99 are told apart and stay
+  // within the observed range.
+  Histogram spread;
+  for (int v = 64; v < 128; ++v) spread.Record(v);
+  const int64_t p50 = spread.ApproxPercentile(0.5);
+  const int64_t p99 = spread.ApproxPercentile(0.99);
+  EXPECT_LT(p50, p99);
+  EXPECT_GE(p50, spread.min());
+  EXPECT_LE(p99, spread.max());
+  EXPECT_EQ(spread.ApproxPercentile(1.0), spread.max());
   Histogram empty;
   EXPECT_EQ(empty.ApproxPercentile(0.5), 0);
 }

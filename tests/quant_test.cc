@@ -1,7 +1,7 @@
 // Quantized compute & storage tests: f16/int8 round-trip error bounds, the
 // packed int8 GEMM's bitwise-determinism contract (across thread counts AND
 // dispatch paths — stronger than f32), fused epilogue parity, the quantized
-// dense layer, v3 shard encoding (size, round-trip, append, legacy
+// dense layer, quantized shard encoding (size, round-trip, append, f32
 // coexistence), and CRC fault injection on the quantized read paths.
 #include <cmath>
 #include <cstdint>
@@ -382,7 +382,7 @@ TEST(QuantizedTransformerBlockTest, ForwardQuantizedModes) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 quantized shards
+// Quantized shards
 // ---------------------------------------------------------------------------
 
 class QuantShardTest : public ::testing::Test {
@@ -506,7 +506,7 @@ TEST_F(QuantShardTest, BitflipInRowScaleFailsEveryReadPath) {
     storage::TensorStore store(dir_.string(), &stats);
     ASSERT_TRUE(store.Put("feed", t, storage::ShardDtype::kInt8).ok());
   }
-  // v3 rank-2 header: magic(8) + dtype(8) + rank(8) + dims(2*8) = 40 bytes;
+  // rank-2 header: magic(8) + dtype(8) + rank(8) + dims(2*8) = 40 bytes;
   // the first row's f32 absmax scale is bytes [40, 44). Flip a scale bit —
   // the CRC covers scales, so a wrong scale must never decode silently.
   const fs::path shard = FindShard(dir_);
@@ -524,12 +524,12 @@ TEST_F(QuantShardTest, BitflipInRowScaleFailsEveryReadPath) {
   EXPECT_FALSE(store.Contains("feed"));
 }
 
-TEST_F(QuantShardTest, V3AndLegacyF32ShardsCoexist) {
+TEST_F(QuantShardTest, F32AndInt8ShardsCoexist) {
   storage::IoStats stats;
   storage::TensorStore store(dir_.string(), &stats);
   Rng rng(76);
   Tensor t = Tensor::Randn(Shape({5, 12}), &rng, 1.0f);
-  ASSERT_TRUE(store.Put("plain", t).ok());  // default dtype: v2 f32
+  ASSERT_TRUE(store.Put("plain", t).ok());  // default dtype: f32
   ASSERT_TRUE(store.Put("quant", t, storage::ShardDtype::kInt8).ok());
   EXPECT_EQ(store.DtypeOf("plain"), storage::ShardDtype::kF32);
   EXPECT_EQ(store.DtypeOf("quant"), storage::ShardDtype::kInt8);

@@ -130,7 +130,7 @@ TEST_F(StorageTest, GetReturnsZeroCopyViewWithCopyOnWrite) {
   TensorStore store(dir_.string(), &stats);
   Tensor t(Shape({2, 2}), {1, 2, 3, 4});
   ASSERT_TRUE(store.Put("f", t).ok());
-  auto view = store.GetView("f");
+  auto view = store.Get("f");
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(view->IsView());
   EXPECT_EQ(Tensor::MaxAbsDiff(*view, t), 0.0f);

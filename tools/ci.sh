@@ -4,8 +4,9 @@
 # asserts the emitted Chrome trace is non-empty valid JSON containing the
 # executor/planner spans documented in docs/OBSERVABILITY.md, a
 # crash-recovery smoke test that kills a persistent run mid-materialization
-# (NAUTILUS_FAULT=crash_after_write:N), corrupts a shard, and asserts the
-# resumed run converges to the reference model selection, a GEMM parity gate
+# (NAUTILUS_FAULT=crash_after_write:N), tears two shards (one by exactly
+# its footer), and asserts the resumed run's scrub quarantines both and that
+# it converges to the reference model selection, a GEMM parity gate
 # (both dispatch paths via NAUTILUS_SIMD=0/1, plus a model-selection
 # equivalence check between them), an operator-fusion gate
 # (NAUTILUS_FUSION=0 vs =1 must select identical models with bitwise-equal
@@ -269,7 +270,8 @@ echo "==> crash-recovery smoke test"
 CR_DIR="$(mktemp -d /tmp/nautilus_ci_crash.XXXXXX)"
 CR_REF="$(mktemp /tmp/nautilus_ci_crash_ref.XXXXXX.txt)"
 CR_OUT="$(mktemp /tmp/nautilus_ci_crash_out.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$CR_REF" "$CR_OUT"; rm -rf "$CR_DIR"' EXIT
+CR_ERR="$(mktemp /tmp/nautilus_ci_crash_err.XXXXXX.txt)"
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$CR_REF" "$CR_OUT" "$CR_ERR"; rm -rf "$CR_DIR"' EXIT
 
 # Reference run: uninterrupted, throwaway work dir. Its metrics summary says
 # how many storage commits (shard + checkpoint writes) a full run performs.
@@ -298,17 +300,30 @@ if [ "$CRASH_CODE" -ne 86 ]; then
   exit 1
 fi
 
-# Tear one surviving materialized shard on top of whatever the crash left.
-SHARD="$(find "$CR_DIR" -name 'expr_*.tns' | head -n 1)"
-if [ -n "$SHARD" ]; then
-  truncate -s -7 "$SHARD"
+# Tear two surviving materialized shards on top of whatever the crash left:
+# one mid-footer (7 bytes) and one by exactly its 32-byte footer, which
+# leaves a file with no checksum to verify.
+SHARDS="$(find "$CR_DIR" -name 'expr_*.tns' | sort | head -n 2)"
+if [ "$(echo "$SHARDS" | grep -c .)" -ne 2 ]; then
+  echo "FAIL: crashed run left fewer than two materialized shards to tear"
+  exit 1
 fi
+truncate -s -7 "$(echo "$SHARDS" | sed -n 1p)"
+truncate -s -32 "$(echo "$SHARDS" | sed -n 2p)"
 
-# The restarted run must scrub the damage, recompute what was lost, and
-# converge to the same model selection as the uninterrupted reference.
+# The restarted run must scrub the damage (quarantining both torn shards),
+# recompute what was lost, and converge to the same model selection as the
+# uninterrupted reference.
 "$BUILD_DIR/tools/nautilus_cli" \
   --workload=FTR-2 --approach=nautilus --mode=measure \
-  --cycles=3 --records=60 --work-dir="$CR_DIR" --resume > "$CR_OUT"
+  --cycles=3 --records=60 --work-dir="$CR_DIR" --resume > "$CR_OUT" \
+  2> "$CR_ERR"
+QUARANTINED="$(grep -oE 'scrub quarantined [0-9]+' "$CR_ERR" | awk '{print $3}')"
+if [ -z "$QUARANTINED" ] || [ "$QUARANTINED" -lt 2 ]; then
+  echo "FAIL: resume scrub quarantined '${QUARANTINED:-none}' shards (expected >= 2 torn)"
+  cat "$CR_ERR"
+  exit 1
+fi
 RES_FINAL="$(grep -E '^  cycle +3:' "$CR_OUT" | grep -oE 'best model.*$')"
 if [ -z "$RES_FINAL" ]; then
   echo "FAIL: resumed run produced no final cycle"
@@ -318,7 +333,7 @@ if [ "$RES_FINAL" != "$REF_FINAL" ]; then
   echo "FAIL: resumed selection diverged: '$RES_FINAL' != '$REF_FINAL'"
   exit 1
 fi
-echo "crash recovery OK: crashed at commit $COMMITS, resumed to '$RES_FINAL'"
+echo "crash recovery OK: crashed at commit $COMMITS, scrub quarantined $QUARANTINED, resumed to '$RES_FINAL'"
 
 echo "==> address sanitizer"
 # ASAN over the whole test suite: every binary that shares the thread pool,
