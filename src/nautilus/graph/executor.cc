@@ -13,6 +13,30 @@
 namespace nautilus {
 namespace graph {
 
+namespace {
+
+// Runs one wavefront level of scheduling units. Single-unit levels run on
+// the caller so the kernel keeps its full intra-op ParallelFor budget
+// (inside a pool task it would collapse to serial).
+template <typename Fn>
+void RunLevel(const std::vector<int>& work, const Fn& run) {
+  static obs::Histogram& width_hist =
+      obs::MetricsRegistry::Global().histogram("executor.wavefront_width");
+  if (work.empty()) return;
+  width_hist.Record(static_cast<int64_t>(work.size()));
+  if (work.size() == 1 || ParallelismDegree() == 1) {
+    for (int s : work) run(s);
+    return;
+  }
+  TaskGroup group;
+  for (int s : work) {
+    group.Submit([&run, s] { run(s); });
+  }
+  group.Wait();
+}
+
+}  // namespace
+
 Executor::Executor(const ModelGraph* model) : model_(model) {
   NAUTILUS_CHECK(model != nullptr);
   const auto& nodes = model_->nodes();
@@ -26,7 +50,6 @@ Executor::Executor(const ModelGraph* model) : model_(model) {
     needs_grad_[static_cast<size_t>(node.id)] = trainable || from_parent;
   }
 
-  parents_unique_.assign(nodes.size(), {});
   children_unique_.assign(nodes.size(), {});
   for (const GraphNode& node : nodes) {
     std::vector<int> ps = node.parents;
@@ -35,16 +58,15 @@ Executor::Executor(const ModelGraph* model) : model_(model) {
     for (int p : ps) {
       children_unique_[static_cast<size_t>(p)].push_back(node.id);
     }
-    parents_unique_[static_cast<size_t>(node.id)] = std::move(ps);
   }
 
   // Backward calls Layer::Backward on every grad-carrying node, and that
   // accumulates the layer's parameter gradients in place. If one layer
   // instance with parameters sits at more than one such node, concurrent
-  // backward would race on those accumulations, so those passes fall back to
-  // the sequential loop. Whether the fallback actually triggers is decided
-  // per pass: with a skip mask deactivating all but one of the layer's
-  // nodes, the parallel backward is safe.
+  // backward would race on those accumulations, so those passes run the
+  // reverse wavefront one node at a time. Whether a pass serializes is
+  // decided per pass: with a skip mask deactivating all but one of the
+  // layer's nodes, the parallel backward is safe.
   std::unordered_map<const nn::Layer*, std::vector<int>> grad_nodes_per_layer;
   for (const GraphNode& node : nodes) {
     if (node.parents.empty()) continue;
@@ -57,10 +79,8 @@ Executor::Executor(const ModelGraph* model) : model_(model) {
     if (ids.size() > 1) dup_layer_nodes_.push_back(std::move(ids));
   }
 
-  // Operator fusion: planned once per executor. BackwardSerial (the
-  // duplicated-parameter fallback) walks raw nodes and would need interior
-  // member outputs the fused forward never materializes, so fusion stays off
-  // whenever that fallback can trigger.
+  // Operator fusion: planned once per executor. A serial backward relies on
+  // super id == node id, so fusion stays off whenever a pass can serialize.
   if (fused::FusionEnabled() && dup_layer_nodes_.empty()) {
     fusion_plan_ = PlanFusion(*model_);
   }
@@ -68,24 +88,26 @@ Executor::Executor(const ModelGraph* model) : model_(model) {
     static obs::Counter& regions_planned =
         obs::MetricsRegistry::Global().counter("fusion.regions_planned");
     regions_planned.Add(static_cast<int64_t>(fusion_plan_.regions.size()));
-    BuildSupers();
   }
+  BuildSupers();
 }
 
 void Executor::BuildSupers() {
   const auto& nodes = model_->nodes();
-  super_of_.assign(nodes.size(), -1);
+  std::vector<int> super_of(nodes.size(), -1);  // node id -> super id
   for (const GraphNode& node : nodes) {
-    const int r = fusion_plan_.region_of[static_cast<size_t>(node.id)];
+    const int r = fusion_plan_.empty()
+                      ? -1
+                      : fusion_plan_.region_of[static_cast<size_t>(node.id)];
     if (r >= 0) {
       const FusedRegion& region = fusion_plan_.regions[static_cast<size_t>(r)];
       if (region.node_ids.front() != node.id) continue;  // head creates
       const int s = static_cast<int>(super_node_.size());
-      for (int id : region.node_ids) super_of_[static_cast<size_t>(id)] = s;
+      for (int id : region.node_ids) super_of[static_cast<size_t>(id)] = s;
       super_node_.push_back(region.node_ids.back());
       super_region_.push_back(r);
     } else {
-      super_of_[static_cast<size_t>(node.id)] =
+      super_of[static_cast<size_t>(node.id)] =
           static_cast<int>(super_node_.size());
       super_node_.push_back(node.id);
       super_region_.push_back(-1);
@@ -96,9 +118,9 @@ void Executor::BuildSupers() {
   super_parents_.assign(n_supers, {});
   super_children_.assign(n_supers, {});
   for (const GraphNode& node : nodes) {
-    const int s = super_of_[static_cast<size_t>(node.id)];
+    const int s = super_of[static_cast<size_t>(node.id)];
     for (int p : node.parents) {
-      const int sp = super_of_[static_cast<size_t>(p)];
+      const int sp = super_of[static_cast<size_t>(p)];
       if (sp != s) super_parents_[static_cast<size_t>(s)].push_back(sp);
     }
   }
@@ -148,8 +170,6 @@ void Executor::Forward(const std::unordered_map<int, Tensor>& feeds,
       obs::MetricsRegistry::Global().counter("executor.node_forwards");
   static obs::Histogram& node_ns =
       obs::MetricsRegistry::Global().histogram("executor.node_forward_ns");
-  static obs::Histogram& width_hist =
-      obs::MetricsRegistry::Global().histogram("executor.wavefront_width");
   passes.Add();
   const bool tracing = obs::TracingEnabled();
   if (tracing) EnsureTraceTags();
@@ -280,23 +300,53 @@ void Executor::Forward(const std::unordered_map<int, Tensor>& feeds,
     }
   };
 
-  if (fusion_plan_.empty()) {
-    // Wavefront levels: deps[id] counts unsatisfied unique parents; a level
-    // is every node whose count hit zero. Skipped nodes complete immediately
-    // (producing nothing), so their non-skipped children fail the parent
-    // check exactly as the sequential walk did.
-    std::vector<int> deps(nodes.size(), 0);
-    std::vector<int> ready;
-    for (const GraphNode& node : nodes) {
-      deps[static_cast<size_t>(node.id)] = static_cast<int>(
-          parents_unique_[static_cast<size_t>(node.id)].size());
-      if (deps[static_cast<size_t>(node.id)] == 0) ready.push_back(node.id);
+  // Wavefront over supers: sdeps[s] counts unsatisfied parent supers, and a
+  // level is every super whose count hit zero. A fused region schedules and
+  // runs as one unit; every other node is its own super. Skipped nodes
+  // complete immediately (producing nothing), so their non-skipped children
+  // fail the parent check. A region with every member skipped is skipped; a
+  // region the skip mask cuts through runs its live members node by node
+  // this pass, preserving unfused semantics exactly.
+  auto run_super = [&](int s) {
+    const int r = super_region_[static_cast<size_t>(s)];
+    if (r < 0) {
+      run_node(nodes[static_cast<size_t>(super_node_[static_cast<size_t>(s)])]);
+      return;
     }
+    const auto& members = fusion_plan_.regions[static_cast<size_t>(r)].node_ids;
+    bool any_skipped = false;
+    if (skip != nullptr) {
+      for (int id : members) {
+        if ((*skip)[static_cast<size_t>(id)]) {
+          any_skipped = true;
+          break;
+        }
+      }
+    }
+    if (any_skipped) {
+      for (int id : members) {
+        if (!(*skip)[static_cast<size_t>(id)]) {
+          run_node(nodes[static_cast<size_t>(id)]);
+        }
+      }
+    } else {
+      run_region(r);
+    }
+  };
 
-    while (!ready.empty()) {
-      std::sort(ready.begin(), ready.end());
-      std::vector<int> work;
-      for (int id : ready) {
+  std::vector<int> sdeps(super_node_.size(), 0);
+  std::vector<int> ready;
+  for (size_t s = 0; s < super_node_.size(); ++s) {
+    sdeps[s] = static_cast<int>(super_parents_[s].size());
+    if (sdeps[s] == 0) ready.push_back(static_cast<int>(s));
+  }
+  while (!ready.empty()) {
+    std::sort(ready.begin(), ready.end());
+    std::vector<int> work;
+    for (int s : ready) {
+      const int r = super_region_[static_cast<size_t>(s)];
+      if (r < 0) {
+        const int id = super_node_[static_cast<size_t>(s)];
         const GraphNode& node = nodes[static_cast<size_t>(id)];
         if (skip != nullptr && (*skip)[static_cast<size_t>(id)]) continue;
         if (node.parents.empty()) {
@@ -307,122 +357,28 @@ void Executor::Forward(const std::unordered_map<int, Tensor>& feeds,
           outputs_[static_cast<size_t>(id)] = it->second;
           continue;
         }
-        work.push_back(id);
-      }
-      if (!work.empty()) {
-        width_hist.Record(static_cast<int64_t>(work.size()));
-        if (work.size() == 1 || ParallelismDegree() == 1) {
-          // Single-node levels run on the caller so the kernel keeps its
-          // full intra-op ParallelFor budget (inside a pool task it would
-          // collapse to serial).
-          for (int id : work) run_node(nodes[static_cast<size_t>(id)]);
-        } else {
-          TaskGroup group;
-          for (int id : work) {
-            group.Submit(
-                [&run_node, &nodes, id] { run_node(nodes[static_cast<size_t>(id)]); });
-          }
-          group.Wait();
-        }
-      }
-      std::vector<int> next;
-      for (int id : ready) {
-        for (int c : children_unique_[static_cast<size_t>(id)]) {
-          if (--deps[static_cast<size_t>(c)] == 0) next.push_back(c);
-        }
-      }
-      ready = std::move(next);
-    }
-  } else {
-    // Same wavefront, but over super-nodes: a fused region schedules (and
-    // runs) as one unit. A region with every member skipped is skipped; a
-    // region the skip mask cuts through falls back to node-at-a-time for
-    // this pass, preserving unfused semantics exactly.
-    auto run_super = [&](int s) {
-      const int r = super_region_[static_cast<size_t>(s)];
-      if (r < 0) {
-        run_node(nodes[static_cast<size_t>(super_node_[static_cast<size_t>(s)])]);
-        return;
-      }
-      const auto& members =
-          fusion_plan_.regions[static_cast<size_t>(r)].node_ids;
-      bool any_skipped = false;
-      if (skip != nullptr) {
+        work.push_back(s);
+      } else {
+        const auto& members =
+            fusion_plan_.regions[static_cast<size_t>(r)].node_ids;
+        bool any_live = false;
         for (int id : members) {
-          if ((*skip)[static_cast<size_t>(id)]) {
-            any_skipped = true;
+          if (skip == nullptr || !(*skip)[static_cast<size_t>(id)]) {
+            any_live = true;
             break;
           }
         }
+        if (any_live) work.push_back(s);
       }
-      if (any_skipped) {
-        for (int id : members) {
-          if (!(*skip)[static_cast<size_t>(id)]) {
-            run_node(nodes[static_cast<size_t>(id)]);
-          }
-        }
-      } else {
-        run_region(r);
-      }
-    };
-
-    std::vector<int> sdeps(super_node_.size(), 0);
-    std::vector<int> ready;
-    for (size_t s = 0; s < super_node_.size(); ++s) {
-      sdeps[s] = static_cast<int>(super_parents_[s].size());
-      if (sdeps[s] == 0) ready.push_back(static_cast<int>(s));
     }
-    while (!ready.empty()) {
-      std::sort(ready.begin(), ready.end());
-      std::vector<int> work;
-      for (int s : ready) {
-        const int r = super_region_[static_cast<size_t>(s)];
-        if (r < 0) {
-          const int id = super_node_[static_cast<size_t>(s)];
-          const GraphNode& node = nodes[static_cast<size_t>(id)];
-          if (skip != nullptr && (*skip)[static_cast<size_t>(id)]) continue;
-          if (node.parents.empty()) {
-            auto it = feeds.find(id);
-            NAUTILUS_CHECK(it != feeds.end())
-                << "missing feed for input node " << id << " ("
-                << node.layer->name() << ")";
-            outputs_[static_cast<size_t>(id)] = it->second;
-            continue;
-          }
-          work.push_back(s);
-        } else {
-          const auto& members =
-              fusion_plan_.regions[static_cast<size_t>(r)].node_ids;
-          bool any_live = false;
-          for (int id : members) {
-            if (skip == nullptr || !(*skip)[static_cast<size_t>(id)]) {
-              any_live = true;
-              break;
-            }
-          }
-          if (any_live) work.push_back(s);
-        }
+    RunLevel(work, run_super);
+    std::vector<int> next;
+    for (int s : ready) {
+      for (int c : super_children_[static_cast<size_t>(s)]) {
+        if (--sdeps[static_cast<size_t>(c)] == 0) next.push_back(c);
       }
-      if (!work.empty()) {
-        width_hist.Record(static_cast<int64_t>(work.size()));
-        if (work.size() == 1 || ParallelismDegree() == 1) {
-          for (int s : work) run_super(s);
-        } else {
-          TaskGroup group;
-          for (int s : work) {
-            group.Submit([&run_super, s] { run_super(s); });
-          }
-          group.Wait();
-        }
-      }
-      std::vector<int> next;
-      for (int s : ready) {
-        for (int c : super_children_[static_cast<size_t>(s)]) {
-          if (--sdeps[static_cast<size_t>(c)] == 0) next.push_back(c);
-        }
-      }
-      ready = std::move(next);
     }
+    ready = std::move(next);
   }
 
   for (size_t id = 0; id < nodes.size(); ++id) {
@@ -456,35 +412,16 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
     grads[static_cast<size_t>(id)] = g;
   }
 
-  if (serial_backward_this_pass_) {
-    BackwardSerial(&grads);
-    return;
-  }
-
   static obs::Counter& node_backwards =
       obs::MetricsRegistry::Global().counter("executor.node_backwards");
   static obs::Histogram& node_ns =
       obs::MetricsRegistry::Global().histogram("executor.node_backward_ns");
-  static obs::Histogram& width_hist =
-      obs::MetricsRegistry::Global().histogram("executor.wavefront_width");
+  static obs::Counter& serial_passes =
+      obs::MetricsRegistry::Global().counter("executor.serial_backward_passes");
+  if (serial_backward_this_pass_) serial_passes.Add();
 
-  // Reverse wavefront over the grad-carrying subgraph. needs_grad_ is
-  // downward closed (every child of a grad-carrying node carries grad), so
-  // counting unique children is exactly counting the contributions a slot
-  // must wait for. Each node's slot is reduced on the caller thread, seed
-  // first then children in descending id order — the same order the
-  // sequential reverse-topological loop applies — before its own backward
-  // runs; only the Layer::Backward calls of a level run concurrently.
   std::vector<std::vector<Tensor>> contrib(nodes.size());
   std::vector<double> node_flops(nodes.size(), 0.0);
-  std::vector<int> rdeps(nodes.size(), 0);
-  std::vector<int> ready;
-  for (const GraphNode& node : nodes) {
-    const auto id = static_cast<size_t>(node.id);
-    if (!needs_grad_[id]) continue;
-    rdeps[id] = static_cast<int>(children_unique_[id].size());
-    if (rdeps[id] == 0) ready.push_back(node.id);
-  }
 
   auto run_node = [&](int id) {
     const GraphNode& node = nodes[static_cast<size_t>(id)];
@@ -512,8 +449,13 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
           cache != nullptr ? *cache : kEmptyCache);
       if (node_span.active()) node_ns.Record(node_span.ElapsedNs());
     }
-    NAUTILUS_CHECK_EQ(contrib[static_cast<size_t>(id)].size(),
-                      node.parents.size());
+    std::vector<Tensor>& cg = contrib[static_cast<size_t>(id)];
+    NAUTILUS_CHECK_EQ(cg.size(), node.parents.size());
+    // Gradients for parents outside the grad-carrying subgraph are never
+    // reduced; drop them now rather than at the end of the pass.
+    for (size_t k = 0; k < cg.size(); ++k) {
+      if (!needs_grad_[static_cast<size_t>(node.parents[k])]) cg[k] = Tensor();
+    }
     // The cache is only read by this node's backward; free it eagerly so its
     // tensors return to the pool while the pass is still running.
     caches_[static_cast<size_t>(id)].reset();
@@ -526,9 +468,10 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
         static_cast<double>(batch) * (trainable ? 2.0 : 1.0);
   };
 
-  // Deterministic slot reduction, shared by both scheduling modes: seed
-  // first (already in grads), then children in descending id order, slots
-  // ascending — the exact order of the sequential reverse-topological loop.
+  // Deterministic slot reduction: seed first (already in grads), then
+  // children in descending id order, slots ascending — the exact order of a
+  // sequential reverse-topological loop. A contribution is freed as soon as
+  // it is added.
   auto reduce_slot = [&](int id) {
     Tensor& slot = grads[static_cast<size_t>(id)];
     const auto& children = children_unique_[static_cast<size_t>(id)];
@@ -545,6 +488,7 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
           slot = std::move(g);
         } else {
           ops::AxpyInPlace(1.0f, g, &slot);
+          g = Tensor();
         }
       }
     }
@@ -597,166 +541,70 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
     }
   };
 
-  if (fusion_plan_.empty()) {
-    while (!ready.empty()) {
-      std::sort(ready.begin(), ready.end(), std::greater<int>());
-      // Reduce every ready slot deterministically before dispatch.
-      for (int id : ready) reduce_slot(id);
-      std::vector<int> work;
-      for (int id : ready) {
-        const GraphNode& node = nodes[static_cast<size_t>(id)];
-        if (node.parents.empty()) continue;
-        if (grads[static_cast<size_t>(id)].empty()) continue;
-        work.push_back(id);
-      }
-      if (!work.empty()) {
-        width_hist.Record(static_cast<int64_t>(work.size()));
-        if (work.size() == 1 || ParallelismDegree() == 1) {
-          for (int id : work) run_node(id);
-        } else {
-          TaskGroup group;
-          for (int id : work) {
-            group.Submit([&run_node, id] { run_node(id); });
-          }
-          group.Wait();
-        }
-      }
-      std::vector<int> next;
-      for (int id : ready) {
-        for (int p : parents_unique_[static_cast<size_t>(id)]) {
-          if (!needs_grad_[static_cast<size_t>(p)]) continue;
-          if (--rdeps[static_cast<size_t>(p)] == 0) next.push_back(p);
-        }
-      }
-      ready = std::move(next);
+  // Reverse wavefront over the grad-carrying supers. needs_grad_ is
+  // downward closed (every child of a grad-carrying node carries grad), so
+  // counting unique child supers is exactly counting the contributions a
+  // slot must wait for. A region's gradient enters only through its last
+  // member (the planner keeps interior values region-private), so one slot
+  // reduction per super suffices. Slots are reduced on the caller thread
+  // before their supers run; only the backward kernels of a level run
+  // concurrently.
+  //
+  // A serial pass runs one super per step: the highest ready id, leaving the
+  // rest ready. Supers are single nodes then (fusion is off when a layer is
+  // duplicated), and every child has a higher id than its parents, so the
+  // highest-id unprocessed grad-carrying node always has all its children
+  // done: Layer::Backward runs one call at a time in descending id order,
+  // and a shared layer's in-place parameter gradients neither race nor
+  // change summation order.
+  auto super_needs_grad = [&](int s) {
+    return needs_grad_[static_cast<size_t>(super_node_[static_cast<size_t>(s)])];
+  };
+  auto run_super = [&](int s) {
+    const int r = super_region_[static_cast<size_t>(s)];
+    if (r < 0) {
+      run_node(super_node_[static_cast<size_t>(s)]);
+    } else {
+      run_region_bwd(r);
     }
-  } else {
-    // Reverse wavefront over super-nodes. A region's gradient enters only
-    // through its last member (the planner keeps interior values region-
-    // private), so one slot reduction per super suffices.
-    std::vector<bool> super_ng(super_node_.size(), false);
-    for (size_t s = 0; s < super_node_.size(); ++s) {
-      super_ng[s] = needs_grad_[static_cast<size_t>(super_node_[s])];
-    }
-    std::vector<int> srdeps(super_node_.size(), 0);
-    std::vector<int> sready;
-    for (size_t s = 0; s < super_node_.size(); ++s) {
-      if (!super_ng[s]) continue;
-      srdeps[s] = static_cast<int>(super_children_[s].size());
-      if (srdeps[s] == 0) sready.push_back(static_cast<int>(s));
-    }
+  };
 
-    auto run_super = [&](int s) {
-      const int r = super_region_[static_cast<size_t>(s)];
-      if (r < 0) {
-        run_node(super_node_[static_cast<size_t>(s)]);
-      } else {
-        run_region_bwd(r);
+  std::vector<int> srdeps(super_node_.size(), 0);
+  std::vector<int> ready;
+  for (size_t s = 0; s < super_node_.size(); ++s) {
+    if (!super_needs_grad(static_cast<int>(s))) continue;
+    srdeps[s] = static_cast<int>(super_children_[s].size());
+    if (srdeps[s] == 0) ready.push_back(static_cast<int>(s));
+  }
+  while (!ready.empty()) {
+    std::sort(ready.begin(), ready.end(), std::greater<int>());
+    const auto split =
+        serial_backward_this_pass_ ? ready.begin() + 1 : ready.end();
+    const std::vector<int> level(ready.begin(), split);
+    std::vector<int> next(split, ready.end());
+    for (int s : level) reduce_slot(super_node_[static_cast<size_t>(s)]);
+    std::vector<int> work;
+    for (int s : level) {
+      const int target = super_node_[static_cast<size_t>(s)];
+      if (super_region_[static_cast<size_t>(s)] < 0 &&
+          nodes[static_cast<size_t>(target)].parents.empty()) {
+        continue;
       }
-    };
-
-    while (!sready.empty()) {
-      std::sort(sready.begin(), sready.end(), std::greater<int>());
-      for (int s : sready) reduce_slot(super_node_[static_cast<size_t>(s)]);
-      std::vector<int> work;
-      for (int s : sready) {
-        const int target = super_node_[static_cast<size_t>(s)];
-        const GraphNode& node = nodes[static_cast<size_t>(target)];
-        if (super_region_[static_cast<size_t>(s)] < 0 &&
-            node.parents.empty()) {
-          continue;
-        }
-        if (grads[static_cast<size_t>(target)].empty()) continue;
-        work.push_back(s);
-      }
-      if (!work.empty()) {
-        width_hist.Record(static_cast<int64_t>(work.size()));
-        if (work.size() == 1 || ParallelismDegree() == 1) {
-          for (int s : work) run_super(s);
-        } else {
-          TaskGroup group;
-          for (int s : work) {
-            group.Submit([&run_super, s] { run_super(s); });
-          }
-          group.Wait();
-        }
-      }
-      std::vector<int> next;
-      for (int s : sready) {
-        for (int p : super_parents_[static_cast<size_t>(s)]) {
-          if (!super_ng[static_cast<size_t>(p)]) continue;
-          if (--srdeps[static_cast<size_t>(p)] == 0) next.push_back(p);
-        }
-      }
-      sready = std::move(next);
+      if (grads[static_cast<size_t>(target)].empty()) continue;
+      work.push_back(s);
     }
+    RunLevel(work, run_super);
+    for (int s : level) {
+      for (int p : super_parents_[static_cast<size_t>(s)]) {
+        if (!super_needs_grad(p)) continue;
+        if (--srdeps[static_cast<size_t>(p)] == 0) next.push_back(p);
+      }
+    }
+    ready = std::move(next);
   }
 
   for (int id = static_cast<int>(nodes.size()) - 1; id >= 0; --id) {
     flops_executed_ += node_flops[static_cast<size_t>(id)];
-  }
-}
-
-void Executor::BackwardSerial(std::vector<Tensor>* grads_in) {
-  static obs::Counter& node_backwards =
-      obs::MetricsRegistry::Global().counter("executor.node_backwards");
-  static obs::Histogram& node_ns =
-      obs::MetricsRegistry::Global().histogram("executor.node_backward_ns");
-  const auto& nodes = model_->nodes();
-  std::vector<Tensor>& grads = *grads_in;
-
-  for (int id = static_cast<int>(nodes.size()) - 1; id >= 0; --id) {
-    const GraphNode& node = nodes[static_cast<size_t>(id)];
-    if (node.parents.empty()) continue;
-    Tensor& gout = grads[static_cast<size_t>(id)];
-    if (gout.empty()) continue;                       // no gradient flows here
-    if (!needs_grad_[static_cast<size_t>(id)]) continue;  // frozen subtree
-
-    std::vector<const Tensor*> inputs;
-    std::vector<Shape> record_shapes;
-    inputs.reserve(node.parents.size());
-    for (int p : node.parents) {
-      inputs.push_back(&outputs_[static_cast<size_t>(p)]);
-      record_shapes.push_back(
-          outputs_[static_cast<size_t>(p)].shape().WithBatch(1));
-    }
-    const nn::LayerCache* cache = caches_[static_cast<size_t>(id)].get();
-    static const nn::LayerCache kEmptyCache;
-    node_backwards.Add();
-    std::vector<Tensor> input_grads;
-    {
-      obs::TraceScope node_span("exec.node.bwd", node.layer->name());
-      node_span.AddArg("node", id).AddArg("frozen", node.frozen);
-      if (node_span.active()) {
-        node_span.AddArgHex("expr", expr_hashes_[static_cast<size_t>(id)])
-            .AddArg("materializable",
-                    bool{materializable_[static_cast<size_t>(id)]});
-      }
-      input_grads = node.layer->Backward(
-          gout, inputs, cache != nullptr ? *cache : kEmptyCache);
-      if (node_span.active()) node_ns.Record(node_span.ElapsedNs());
-    }
-    NAUTILUS_CHECK_EQ(input_grads.size(), node.parents.size());
-    // The cache is only read by this node's backward; free it eagerly so its
-    // tensors return to the pool while the pass is still running.
-    caches_[static_cast<size_t>(id)].reset();
-    const int64_t batch = inputs[0]->shape().dim(0);
-    const bool trainable = !node.frozen && !node.layer->Params().empty();
-    // Cost-model-consistent accounting: trainable layers pay ~2x forward in
-    // the backward pass (input + parameter gradients), frozen ones ~1x.
-    flops_executed_ += node.layer->ForwardFlopsPerRecord(record_shapes) *
-                       static_cast<double>(batch) * (trainable ? 2.0 : 1.0);
-    for (size_t k = 0; k < node.parents.size(); ++k) {
-      const int p = node.parents[static_cast<size_t>(k)];
-      // needs_grad_ already covers "parent itself is trainable".
-      if (!needs_grad_[static_cast<size_t>(p)]) continue;
-      Tensor& slot = grads[static_cast<size_t>(p)];
-      if (slot.empty()) {
-        slot = std::move(input_grads[k]);
-      } else {
-        ops::AxpyInPlace(1.0f, input_grads[k], &slot);
-      }
-    }
   }
 }
 

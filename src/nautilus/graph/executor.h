@@ -19,14 +19,15 @@ namespace graph {
 /// as extra input nodes and are fed like any other input. Multiple outputs
 /// (fused models) are supported by passing one gradient per output node.
 ///
-/// Both passes use wavefront scheduling: nodes whose dependencies are all
-/// satisfied form a level and run concurrently on the global thread pool, so
-/// the inter-operator parallelism that model fusion creates (one shared
-/// trunk fanning out into many heads) is actually harvested. Results are
-/// bitwise identical at every thread count: each gradient slot accumulates
-/// its seed first and then its children's contributions in descending child
-/// id order — exactly the order the sequential reverse-topological loop
-/// produces — and FLOP totals are summed in fixed node order.
+/// Both passes use one wavefront scheduler over super-nodes (a fused region,
+/// or a single node): supers whose dependencies are all satisfied form a
+/// level and run concurrently on the global thread pool, so the
+/// inter-operator parallelism that model fusion creates (one shared trunk
+/// fanning out into many heads) is actually harvested. Results are bitwise
+/// identical at every thread count: each gradient slot accumulates its seed
+/// first and then its children's contributions in descending child id order
+/// — exactly the order a sequential reverse-topological loop produces — and
+/// FLOP totals are summed in fixed node order.
 class Executor {
  public:
   explicit Executor(const ModelGraph* model);
@@ -59,8 +60,8 @@ class Executor {
   double flops_executed() const { return flops_executed_; }
 
   /// Fused regions this executor runs (empty when NAUTILUS_FUSION is off, no
-  /// region cleared the cost model, or the duplicated-parameter serial
-  /// fallback can trigger). Snapshotted at construction.
+  /// region cleared the cost model, or a backward pass can serialize on a
+  /// duplicated parameterized layer). Snapshotted at construction.
   const FusionPlan& fusion_plan() const { return fusion_plan_; }
 
   const ModelGraph& model() const { return *model_; }
@@ -70,34 +71,27 @@ class Executor {
   // mask) the first time a traced pass runs; no-op when tracing is off.
   void EnsureTraceTags();
 
-  // Sequential reverse-topological backward, used when a parameterized layer
-  // instance is shared by several grad-carrying nodes: Layer::Backward
-  // accumulates parameter gradients in place, so concurrent calls on the
-  // same layer would race (and reorder float adds).
-  void BackwardSerial(std::vector<Tensor>* grads);
-
-  // Collapses fused regions into super-nodes for wavefront scheduling
-  // (singleton supers for unfused nodes). Only called when regions exist.
+  // Builds the scheduling units: one super per fused region plus one per
+  // unfused node. With no regions, super id == node id.
   void BuildSupers();
 
   const ModelGraph* model_;
   std::vector<bool> needs_grad_;   // some ancestor (or self) is trainable
-  // Deduplicated adjacency (a node listing the same parent twice still
-  // yields one scheduling edge); both sorted ascending by id.
-  std::vector<std::vector<int>> parents_unique_;
+  // Deduplicated children (a node listing the same parent twice is still one
+  // child), sorted ascending by id; read by the gradient slot reduction.
   std::vector<std::vector<int>> children_unique_;
   // Node lists of parameterized layer instances that sit at >= 1 other
-  // grad-carrying node; whether the serial fallback actually triggers is
-  // decided per pass from the skip mask (a duplicate race needs >= 2 of the
-  // layer's nodes live in the same backward).
+  // grad-carrying node. Layer::Backward accumulates parameter gradients in
+  // place, so when >= 2 of one layer's nodes are live in the same pass
+  // (decided per pass from the skip mask), the reverse wavefront runs one
+  // node per step in descending id order.
   std::vector<std::vector<int>> dup_layer_nodes_;
   bool serial_backward_this_pass_ = false;
-  // Operator-fusion state (empty plan => node-at-a-time execution, the exact
-  // pre-fusion code path). Supers are scheduling units: one per fused region
-  // plus one per unfused node; super_node_ is the region's last member for
-  // region supers (the only member value visible outside the region).
+  // Operator-fusion state. Supers are the scheduling units: one per fused
+  // region plus one per unfused node, numbered in ascending order of their
+  // first node; super_node_ is the region's last member for region supers
+  // (the only member value visible outside the region).
   FusionPlan fusion_plan_;
-  std::vector<int> super_of_;      // node id -> super id
   std::vector<int> super_node_;    // super -> representative node id
   std::vector<int> super_region_;  // super -> region index, -1 = singleton
   std::vector<std::vector<int>> super_parents_;   // unique, sorted

@@ -15,8 +15,8 @@ namespace fused {
 
 /// Whether the executor plans and runs fused operator chains. Initialized
 /// from NAUTILUS_FUSION ("1"/"on" enables, default off) on first use;
-/// SetFusionEnabled (the --fusion CLI flag) overrides it. With fusion off the
-/// executor takes the node-at-a-time path untouched.
+/// SetFusionEnabled (the --fusion CLI flag) overrides it. With fusion off
+/// every node is its own scheduling unit in the executor's wavefront.
 bool FusionEnabled();
 void SetFusionEnabled(bool enabled);
 

@@ -10,7 +10,9 @@
 # (both dispatch paths via NAUTILUS_SIMD=0/1, plus a model-selection
 # equivalence check between them), an operator-fusion gate
 # (NAUTILUS_FUSION=0 vs =1 must select identical models with bitwise-equal
-# losses), a background-materialization smoke test
+# losses), an ATR equivalence gate (Nautilus, whose fused plans run the
+# serialized backward, vs Current Practice: identical selections and
+# bitwise-equal losses), a background-materialization smoke test
 # (an evolving-workload run whose per-cycle appends must complete on the
 # thread pool), a serving smoke test (--serve runs with the prefix cache on
 # vs off, with chunked prefill, and at another KV page size must emit
@@ -165,6 +167,38 @@ if ! diff <(grep -oE 'best model.*$|losses.*$' "$FUSION_OFF_OUT") \
 fi
 echo "fusion OK: selection and per-candidate losses bitwise-identical"
 
+echo "==> ATR serial-backward equivalence"
+# ATR's fused Nautilus plans place one pretrained block at several
+# grad-carrying nodes, so every Nautilus backward pass runs the reverse
+# wavefront one node per step (executor.serial_backward_passes); Current
+# Practice trains each candidate alone and never serializes. Both must
+# select the same models with bitwise-equal per-candidate losses.
+ATR_NAUTILUS_OUT="$(mktemp /tmp/nautilus_ci_atr_n.XXXXXX.txt)"
+ATR_CP_OUT="$(mktemp /tmp/nautilus_ci_atr_cp.XXXXXX.txt)"
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$ATR_NAUTILUS_OUT" "$ATR_CP_OUT"' EXIT
+"$BUILD_DIR/tools/nautilus_cli" \
+  --workload=ATR --approach=nautilus --mode=measure \
+  --cycles=2 --records=40 --print-losses --metrics-summary \
+  > "$ATR_NAUTILUS_OUT"
+"$BUILD_DIR/tools/nautilus_cli" \
+  --workload=ATR --approach=cp --mode=measure \
+  --cycles=2 --records=40 --print-losses > "$ATR_CP_OUT"
+if ! diff <(grep -oE 'best model.*$|losses.*$' "$ATR_NAUTILUS_OUT") \
+          <(grep -oE 'best model.*$|losses.*$' "$ATR_CP_OUT"); then
+  echo "FAIL: ATR selection or losses differ between Nautilus and Current Practice"
+  exit 1
+fi
+if ! grep -qE 'losses +1:' "$ATR_NAUTILUS_OUT"; then
+  echo "FAIL: ATR runs printed no loss lines"
+  exit 1
+fi
+ATR_SERIAL="$(awk '$1 == "executor.serial_backward_passes" {print $2}' "$ATR_NAUTILUS_OUT")"
+if [ -z "$ATR_SERIAL" ] || [ "$ATR_SERIAL" -le 0 ]; then
+  echo "FAIL: executor.serial_backward_passes is '${ATR_SERIAL:-absent}' (expected > 0)"
+  exit 1
+fi
+echo "ATR OK: Nautilus == Current Practice bitwise, serial backward passes=$ATR_SERIAL"
+
 echo "==> io-engine smoke test"
 # The bench self-checks: warm-cache epochs must read 0 disk bytes and every
 # read path must return bitwise-identical tensors (non-zero exit otherwise).
@@ -172,7 +206,7 @@ echo "==> io-engine smoke test"
 # And a measured CLI run must actually hit the shard cache: epoch 2+ feed
 # loads are served from memory, so a cache regression zeroes this counter.
 IO_SMOKE_OUT="$(mktemp /tmp/nautilus_ci_io_smoke.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT"' EXIT
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$ATR_NAUTILUS_OUT" "$ATR_CP_OUT" "$IO_SMOKE_OUT"' EXIT
 "$BUILD_DIR/tools/nautilus_cli" \
   --workload=FTR-2 --approach=nautilus --mode=measure \
   --cycles=2 --records=60 --metrics-summary > "$IO_SMOKE_OUT"
@@ -189,7 +223,7 @@ echo "==> background-materialization smoke test"
 # and the run must finish through the completion barrier. NAUTILUS_BG_MAT=1
 # pins the default on even if the environment overrides it.
 BG_OUT="$(mktemp /tmp/nautilus_ci_bg.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$BG_OUT"' EXIT
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$ATR_NAUTILUS_OUT" "$ATR_CP_OUT" "$IO_SMOKE_OUT" "$BG_OUT"' EXIT
 NAUTILUS_BG_MAT=1 "$BUILD_DIR/tools/nautilus_cli" \
   --workload=FTR-2 --approach=nautilus --mode=measure \
   --cycles=3 --records=60 --threads=4 --metrics-summary > "$BG_OUT"
@@ -220,7 +254,7 @@ SERVE_C="$(mktemp /tmp/nautilus_ci_serve_c.XXXXXX.txt)"
 SERVE_P="$(mktemp /tmp/nautilus_ci_serve_p.XXXXXX.txt)"
 SERVE_M="$(mktemp /tmp/nautilus_ci_serve_m.XXXXXX.txt)"
 SERVE_ERR="$(mktemp /tmp/nautilus_ci_serve_err.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$BG_OUT" "$SERVE_A" "$SERVE_B" "$SERVE_C" "$SERVE_P" "$SERVE_M" "$SERVE_ERR"' EXIT
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$ATR_NAUTILUS_OUT" "$ATR_CP_OUT" "$IO_SMOKE_OUT" "$BG_OUT" "$SERVE_A" "$SERVE_B" "$SERVE_C" "$SERVE_P" "$SERVE_M" "$SERVE_ERR"' EXIT
 SERVE_PROMPTS='1 2 3 4 5
 1 2 3 4 6
 1 2 3 4
@@ -271,7 +305,7 @@ CR_DIR="$(mktemp -d /tmp/nautilus_ci_crash.XXXXXX)"
 CR_REF="$(mktemp /tmp/nautilus_ci_crash_ref.XXXXXX.txt)"
 CR_OUT="$(mktemp /tmp/nautilus_ci_crash_out.XXXXXX.txt)"
 CR_ERR="$(mktemp /tmp/nautilus_ci_crash_err.XXXXXX.txt)"
-trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$IO_SMOKE_OUT" "$CR_REF" "$CR_OUT" "$CR_ERR"; rm -rf "$CR_DIR"' EXIT
+trap 'rm -f "$TRACE_FILE" "$GEMM_A_OUT" "$GEMM_B_OUT" "$QUANT_OFF_OUT" "$QUANT_INT8_OUT" "$FUSION_OFF_OUT" "$FUSION_ON_OUT" "$ATR_NAUTILUS_OUT" "$ATR_CP_OUT" "$IO_SMOKE_OUT" "$BG_OUT" "$SERVE_A" "$SERVE_B" "$SERVE_C" "$SERVE_P" "$SERVE_M" "$SERVE_ERR" "$CR_REF" "$CR_OUT" "$CR_ERR"; rm -rf "$CR_DIR"' EXIT
 
 # Reference run: uninterrupted, throwaway work dir. Its metrics summary says
 # how many storage commits (shard + checkpoint writes) a full run performs.
