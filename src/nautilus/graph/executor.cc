@@ -41,11 +41,15 @@ Executor::Executor(const ModelGraph* model) : model_(model) {
   NAUTILUS_CHECK(model != nullptr);
   const auto& nodes = model_->nodes();
   needs_grad_.assign(nodes.size(), false);
+  parent_needs_grad_.assign(nodes.size(), {});
   for (const GraphNode& node : nodes) {
     bool trainable = !node.frozen && !node.layer->Params().empty();
     bool from_parent = false;
+    std::vector<bool>& parent_flags =
+        parent_needs_grad_[static_cast<size_t>(node.id)];
     for (int p : node.parents) {
-      if (needs_grad_[static_cast<size_t>(p)]) from_parent = true;
+      parent_flags.push_back(needs_grad_[static_cast<size_t>(p)]);
+      if (parent_flags.back()) from_parent = true;
     }
     needs_grad_[static_cast<size_t>(node.id)] = trainable || from_parent;
   }
@@ -446,15 +450,18 @@ void Executor::Backward(const std::unordered_map<int, Tensor>& output_grads) {
       }
       contrib[static_cast<size_t>(id)] = node.layer->Backward(
           grads[static_cast<size_t>(id)], inputs,
-          cache != nullptr ? *cache : kEmptyCache);
+          cache != nullptr ? *cache : kEmptyCache,
+          parent_needs_grad_[static_cast<size_t>(id)]);
       if (node_span.active()) node_ns.Record(node_span.ElapsedNs());
     }
-    std::vector<Tensor>& cg = contrib[static_cast<size_t>(id)];
+    const std::vector<Tensor>& cg = contrib[static_cast<size_t>(id)];
     NAUTILUS_CHECK_EQ(cg.size(), node.parents.size());
-    // Gradients for parents outside the grad-carrying subgraph are never
-    // reduced; drop them now rather than at the end of the pass.
+    // Parents outside the grad-carrying subgraph are never reduced, so the
+    // layer must not have computed (and parked) a gradient for them.
     for (size_t k = 0; k < cg.size(); ++k) {
-      if (!needs_grad_[static_cast<size_t>(node.parents[k])]) cg[k] = Tensor();
+      NAUTILUS_CHECK(cg[k].empty() ||
+                     needs_grad_[static_cast<size_t>(node.parents[k])])
+          << node.layer->name() << " returned an unrequested input gradient";
     }
     // The cache is only read by this node's backward; free it eagerly so its
     // tensors return to the pool while the pass is still running.

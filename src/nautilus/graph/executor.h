@@ -77,6 +77,9 @@ class Executor {
 
   const ModelGraph* model_;
   std::vector<bool> needs_grad_;   // some ancestor (or self) is trainable
+  // Per node, needs_grad_ of each parent in slot order: the
+  // `needs_input_grad` argument of that node's Layer::Backward.
+  std::vector<std::vector<bool>> parent_needs_grad_;
   // Deduplicated children (a node listing the same parent twice is still one
   // child), sorted ascending by id; read by the gradient slot reduction.
   std::vector<std::vector<int>> children_unique_;

@@ -24,10 +24,10 @@ Tensor InputLayer::Forward(const std::vector<const Tensor*>& inputs,
   return *inputs[0];
 }
 
-std::vector<Tensor> InputLayer::Backward(const Tensor& grad_out,
-                                         const std::vector<const Tensor*>&,
-                                         const LayerCache&) {
-  return {grad_out};
+std::vector<Tensor> InputLayer::Backward(
+    const Tensor& grad_out, const std::vector<const Tensor*>&,
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  return {needs_input_grad[0] ? grad_out : Tensor()};
 }
 
 std::shared_ptr<Layer> InputLayer::Clone() const {
@@ -144,9 +144,9 @@ Tensor DenseLayer::Forward(const std::vector<const Tensor*>& inputs,
                                pre);
   std::vector<int64_t> dims = inputs[0]->shape().dims();
   dims.back() = out_dim_;
-  y = y.Reshaped(Shape(dims));
+  y = std::move(y).Reshaped(Shape(dims));
   if (activation_ == Activation::kRelu || activation_ == Activation::kTanh) {
-    c->output = y.PooledCopy();  // Backward masks dz with the output sign
+    c->output = y;  // Backward masks dz with the output sign
   }
   if (cache != nullptr) *cache = std::move(c);
   return y;
@@ -181,12 +181,12 @@ Tensor DenseLayer::ForwardQuantized(
   }
   std::vector<int64_t> dims = inputs[0]->shape().dims();
   dims.back() = out_dim_;
-  return y.Reshaped(Shape(dims));
+  return std::move(y).Reshaped(Shape(dims));
 }
 
 std::vector<Tensor> DenseLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const auto& c = static_cast<const DenseCache&>(cache);
   Tensor dz;
   switch (activation_) {
@@ -206,8 +206,8 @@ std::vector<Tensor> DenseLayer::Backward(
   // dW += x^T dz ; db += colsum(dz) ; dx = dz W^T
   ops::AxpyInPlace(1.0f, ops::MatMulTN(*inputs[0], dz), &weight_.grad);
   ops::AxpyInPlace(1.0f, ops::ColumnSum(dz), &bias_.grad);
-  Tensor dx = ops::MatMulNT(dz, weight_.value);
-  return {dx.Reshaped(inputs[0]->shape())};
+  if (!needs_input_grad[0]) return {Tensor()};
+  return {ops::MatMulNT(dz, weight_.value).Reshaped(inputs[0]->shape())};
 }
 
 std::shared_ptr<Layer> DenseLayer::Clone() const {
@@ -266,7 +266,7 @@ Tensor LayerNormLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> LayerNormLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   (void)inputs;
   const auto& c = static_cast<const LayerNormLayerCache&>(cache);
   Tensor dx, dgamma, dbeta;
@@ -274,7 +274,7 @@ std::vector<Tensor> LayerNormLayer::Backward(
                          &dbeta);
   ops::AxpyInPlace(1.0f, dgamma, &gamma_.grad);
   ops::AxpyInPlace(1.0f, dbeta, &beta_.grad);
-  return {dx};
+  return {needs_input_grad[0] ? std::move(dx) : Tensor()};
 }
 
 bool LayerNormLayer::DescribeFusedOp(fused::OpDesc* op) {
@@ -345,7 +345,7 @@ Tensor ActivationLayer::Forward(const std::vector<const Tensor*>& inputs,
   }
   if (cache != nullptr) {
     auto c = std::make_unique<ActivationCache>();
-    if (activation_ != Activation::kGelu) c->output = y.PooledCopy();
+    if (activation_ != Activation::kGelu) c->output = y;
     *cache = std::move(c);
   }
   return y;
@@ -353,7 +353,8 @@ Tensor ActivationLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> ActivationLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
+  if (!needs_input_grad[0]) return {Tensor()};
   const auto& c = static_cast<const ActivationCache&>(cache);
   switch (activation_) {
     case Activation::kNone:
@@ -420,7 +421,7 @@ Tensor SoftmaxLayer::Forward(const std::vector<const Tensor*>& inputs,
   Tensor y = ops::SoftmaxForward(*inputs[0]);
   if (cache != nullptr) {
     auto c = std::make_unique<SoftmaxCache>();
-    c->probs = y.PooledCopy();
+    c->probs = y;
     *cache = std::move(c);
   }
   return y;
@@ -428,8 +429,9 @@ Tensor SoftmaxLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> SoftmaxLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   (void)inputs;
+  if (!needs_input_grad[0]) return {Tensor()};
   const auto& c = static_cast<const SoftmaxCache&>(cache);
   return {ops::SoftmaxBackward(grad_out, c.probs)};
 }

@@ -30,9 +30,10 @@ class InputLayer : public Layer {
   }
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 
  private:
@@ -63,9 +64,10 @@ class DenseLayer : public Layer {
                  std::unique_ptr<LayerCache>* cache) const override;
   Tensor ForwardQuantized(
       const std::vector<const Tensor*>& inputs) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::shared_ptr<Layer> Clone() const override;
 
@@ -102,9 +104,10 @@ class LayerNormLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override { return {&gamma_, &beta_}; }
   bool DescribeFusedOp(fused::OpDesc* op) override;
   std::shared_ptr<Layer> Clone() const override;
@@ -132,9 +135,10 @@ class ActivationLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   bool DescribeFusedOp(fused::OpDesc* op) override;
   std::shared_ptr<Layer> Clone() const override;
 
@@ -155,9 +159,10 @@ class SoftmaxLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   bool DescribeFusedOp(fused::OpDesc* op) override;
   std::shared_ptr<Layer> Clone() const override;
 };

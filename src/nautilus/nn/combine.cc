@@ -32,10 +32,14 @@ Tensor AddLayer::Forward(const std::vector<const Tensor*>& inputs,
   return ops::AddN(inputs);
 }
 
-std::vector<Tensor> AddLayer::Backward(const Tensor& grad_out,
-                                       const std::vector<const Tensor*>& inputs,
-                                       const LayerCache&) {
-  return std::vector<Tensor>(inputs.size(), grad_out);
+std::vector<Tensor> AddLayer::Backward(
+    const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  std::vector<Tensor> grads(inputs.size());
+  for (size_t k = 0; k < grads.size(); ++k) {
+    if (needs_input_grad[k]) grads[k] = grad_out;
+  }
+  return grads;
 }
 
 bool AddLayer::DescribeFusedOp(fused::OpDesc* op) {
@@ -82,13 +86,17 @@ Tensor ConcatLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> ConcatLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
   std::vector<int64_t> sizes;
   sizes.reserve(inputs.size());
   for (const Tensor* t : inputs) {
     sizes.push_back(t->shape().dim(t->shape().rank() - 1));
   }
-  return ops::SplitLastDim(grad_out, sizes);
+  std::vector<Tensor> grads = ops::SplitLastDim(grad_out, sizes);
+  for (size_t k = 0; k < grads.size(); ++k) {
+    if (!needs_input_grad[k]) grads[k] = Tensor();
+  }
+  return grads;
 }
 
 std::shared_ptr<Layer> ConcatLayer::Clone() const {
@@ -118,7 +126,8 @@ Tensor MeanPoolLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> MeanPoolLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  if (!needs_input_grad[0]) return {Tensor()};
   return {ops::MeanPoolSeqBackward(grad_out, inputs[0]->shape())};
 }
 
@@ -150,7 +159,8 @@ Tensor SelectTokenLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> SelectTokenLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  if (!needs_input_grad[0]) return {Tensor()};
   return {
       ops::SelectSeqPositionBackward(grad_out, inputs[0]->shape(), position_)};
 }

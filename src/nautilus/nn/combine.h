@@ -23,9 +23,10 @@ class AddLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   bool DescribeFusedOp(fused::OpDesc* op) override;
   std::shared_ptr<Layer> Clone() const override;
 };
@@ -42,9 +43,10 @@ class ConcatLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 };
 
@@ -59,9 +61,10 @@ class MeanPoolLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   bool DescribeFusedOp(fused::OpDesc* op) override;
   std::shared_ptr<Layer> Clone() const override;
 };
@@ -81,9 +84,10 @@ class SelectTokenLayer : public Layer {
   }
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 
  private:

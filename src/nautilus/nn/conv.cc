@@ -115,7 +115,7 @@ Tensor ConvBlockLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> ConvBlockLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const auto& c = static_cast<const ConvBlockCache&>(cache);
   Tensor dy = grad_out;
   if (relu_) dy = ops::ReluBackward(grad_out, c.output);
@@ -126,8 +126,8 @@ std::vector<Tensor> ConvBlockLayer::Backward(
   ops::AxpyInPlace(1.0f, dshift, &shift_.grad);
   Tensor dx, dweight;
   ops::Conv2DBackward(dconv, *inputs[0], weight_.value,
-                      {.stride = stride_, .padding = padding_}, &dx, &dweight,
-                      nullptr);
+                      {.stride = stride_, .padding = padding_},
+                      needs_input_grad[0] ? &dx : nullptr, &dweight, nullptr);
   ops::AxpyInPlace(1.0f, dweight, &weight_.grad);
   return {dx};
 }
@@ -276,9 +276,10 @@ Tensor ResidualBlockLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> ResidualBlockLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const Tensor& x = *inputs[0];
   const auto& c = static_cast<const ResidualCache&>(cache);
+  const bool want_dx = needs_input_grad[0];
   Tensor dsum = ops::ReluBackward(grad_out, c.output);
 
   // Skip path.
@@ -291,10 +292,10 @@ std::vector<Tensor> ResidualBlockLayer::Backward(
     ops::AxpyInPlace(1.0f, dtp, &tp_->grad);
     Tensor dwp;
     ops::Conv2DBackward(dskip_conv, x, wp_->value,
-                        {.stride = stride_, .padding = 0}, &dx_skip, &dwp,
-                        nullptr);
+                        {.stride = stride_, .padding = 0},
+                        want_dx ? &dx_skip : nullptr, &dwp, nullptr);
     ops::AxpyInPlace(1.0f, dwp, &wp_->grad);
-  } else {
+  } else if (want_dx) {
     dx_skip = dsum;
   }
 
@@ -325,8 +326,9 @@ std::vector<Tensor> ResidualBlockLayer::Backward(
   ops::AxpyInPlace(1.0f, dt1, &t1_->grad);
   Tensor dx_main, dw1;
   ops::Conv2DBackward(dc1, x, w1_->value, {.stride = 1, .padding = 0},
-                      &dx_main, &dw1, nullptr);
+                      want_dx ? &dx_main : nullptr, &dw1, nullptr);
   ops::AxpyInPlace(1.0f, dw1, &w1_->grad);
+  if (!want_dx) return {Tensor()};
 
   ops::AxpyInPlace(1.0f, dx_skip, &dx_main);
   return {dx_main};
@@ -399,7 +401,8 @@ Tensor MaxPoolLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> MaxPoolLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
+  if (!needs_input_grad[0]) return {Tensor()};
   const auto& c = static_cast<const MaxPoolLayerCache&>(cache);
   return {ops::MaxPool2DBackward(grad_out, inputs[0]->shape(), c.cache)};
 }
@@ -432,7 +435,8 @@ Tensor GlobalAvgPoolLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> GlobalAvgPoolLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  if (!needs_input_grad[0]) return {Tensor()};
   return {ops::GlobalAvgPoolBackward(grad_out, inputs[0]->shape())};
 }
 

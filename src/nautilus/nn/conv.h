@@ -30,9 +30,10 @@ class ConvBlockLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override {
     return {&weight_, &scale_, &shift_};
   }
@@ -73,9 +74,10 @@ class ResidualBlockLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override;
   std::shared_ptr<Layer> Clone() const override;
 
@@ -120,9 +122,10 @@ class MaxPoolLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 
  private:
@@ -140,9 +143,10 @@ class GlobalAvgPoolLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 };
 

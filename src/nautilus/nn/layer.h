@@ -147,11 +147,14 @@ class Layer {
     return false;
   }
 
-  /// Back-propagates `grad_out`, returning gradients w.r.t. each input and
-  /// accumulating parameter gradients in place.
+  /// Back-propagates `grad_out`, accumulating parameter gradients in place
+  /// and returning one gradient per input. Entry k is empty when
+  /// `needs_input_grad[k]` is false: nobody reads it (the input comes from
+  /// a frozen or materialized feature), so layers whose input gradient is
+  /// costly skip computing it. Parameter gradients never depend on it.
   virtual std::vector<Tensor> Backward(
       const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-      const LayerCache& cache) = 0;
+      const LayerCache& cache, const std::vector<bool>& needs_input_grad) = 0;
 
   /// Trainable parameters (empty for parameter-free layers).
   virtual std::vector<Parameter*> Params() { return {}; }

@@ -67,22 +67,27 @@ Tensor RnnCellLayer::Forward(const std::vector<const Tensor*>& inputs,
             hp.data(), w_hidden_.value.data(), h.data(), ep,
             /*accumulate=*/true);
   auto c = std::make_unique<RnnCellCache>();
-  c->output = h.PooledCopy();
+  c->output = h;
   if (cache != nullptr) *cache = std::move(c);
   return h;
 }
 
 std::vector<Tensor> RnnCellLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const auto& c = static_cast<const RnnCellCache&>(cache);
   Tensor dz = ops::TanhBackward(grad_out, c.output);
   ops::AxpyInPlace(1.0f, ops::MatMulTN(*inputs[0], dz), &w_input_.grad);
   ops::AxpyInPlace(1.0f, ops::MatMulTN(*inputs[1], dz), &w_hidden_.grad);
   ops::AxpyInPlace(1.0f, ops::ColumnSum(dz), &bias_.grad);
-  Tensor dx = ops::MatMulNT(dz, w_input_.value).Reshaped(inputs[0]->shape());
-  Tensor dh = ops::MatMulNT(dz, w_hidden_.value).Reshaped(inputs[1]->shape());
-  return {dx, dh};
+  std::vector<Tensor> grads(2);
+  if (needs_input_grad[0]) {
+    grads[0] = ops::MatMulNT(dz, w_input_.value).Reshaped(inputs[0]->shape());
+  }
+  if (needs_input_grad[1]) {
+    grads[1] = ops::MatMulNT(dz, w_hidden_.value).Reshaped(inputs[1]->shape());
+  }
+  return grads;
 }
 
 std::shared_ptr<Layer> RnnCellLayer::Clone() const {
@@ -103,8 +108,8 @@ Tensor ZeroStateLayer::Forward(const std::vector<const Tensor*>& inputs,
 
 std::vector<Tensor> ZeroStateLayer::Backward(
     const Tensor&, const std::vector<const Tensor*>& inputs,
-    const LayerCache&) {
-  return {Tensor(inputs[0]->shape())};
+    const LayerCache&, const std::vector<bool>& needs_input_grad) {
+  return {needs_input_grad[0] ? Tensor(inputs[0]->shape()) : Tensor()};
 }
 
 std::shared_ptr<Layer> ZeroStateLayer::Clone() const {

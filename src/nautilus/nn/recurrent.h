@@ -30,9 +30,10 @@ class RnnCellLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override {
     return {&w_input_, &w_hidden_, &bias_};
   }
@@ -64,9 +65,10 @@ class ZeroStateLayer : public Layer {
   }
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::shared_ptr<Layer> Clone() const override;
 
  private:

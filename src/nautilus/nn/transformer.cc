@@ -197,7 +197,7 @@ Tensor EmbeddingBlockLayer::ServeEmbedRows(const int64_t* tokens,
 
 std::vector<Tensor> EmbeddingBlockLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const auto& c = static_cast<const EmbeddingBlockCache&>(cache);
   Tensor dsum, dgamma, dbeta;
   ops::LayerNormBackward(grad_out, gamma_.value, c.ln, &dsum, &dgamma, &dbeta);
@@ -214,7 +214,7 @@ std::vector<Tensor> EmbeddingBlockLayer::Backward(
   }
   ops::EmbeddingBackward(*inputs[0], dsum, &token_table_.grad);
   // Integer token-id inputs have no meaningful gradient.
-  return {Tensor(inputs[0]->shape())};
+  return {needs_input_grad[0] ? Tensor(inputs[0]->shape()) : Tensor()};
 }
 
 std::vector<Parameter*> EmbeddingBlockLayer::Params() {
@@ -418,13 +418,13 @@ Tensor TransformerBlockLayer::ServeProject(size_t slot, const Tensor& in,
 Tensor TransformerBlockLayer::ServeFfnTail(const Tensor& x,
                                            const Tensor& attn_merged) const {
   Tensor o = ServeProject(3, attn_merged, ops::EpilogueKind::kBias);
-  Tensor r1 = ops::Add(x, o.Reshaped(x.shape()));
+  Tensor r1 = ops::Add(x, std::move(o).Reshaped(x.shape()));
   ops::LayerNormCache ln1;
   Tensor h1 = ops::LayerNormForward(r1, ln1_gamma_->value, ln1_beta_->value,
                                     kLnEps, &ln1);
   Tensor g = ServeProject(4, h1, ops::EpilogueKind::kBiasGelu);
   Tensor z2 = ServeProject(5, g, ops::EpilogueKind::kBias);
-  Tensor r2 = ops::Add(h1, z2.Reshaped(x.shape()));
+  Tensor r2 = ops::Add(h1, std::move(z2).Reshaped(x.shape()));
   ops::LayerNormCache ln2;
   return ops::LayerNormForward(r2, ln2_gamma_->value, ln2_beta_->value, kLnEps,
                                &ln2);
@@ -486,7 +486,7 @@ Tensor TransformerBlockLayer::ServeRows(
 
 std::vector<Tensor> TransformerBlockLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const Tensor& x = *inputs[0];
   const Shape& xs = x.shape();
   const auto& c = static_cast<const TransformerCache&>(cache);
@@ -531,6 +531,7 @@ std::vector<Tensor> TransformerBlockLayer::Backward(
   ops::AxpyInPlace(1.0f, ops::ColumnSum(dk), &bk_->grad);
   ops::AxpyInPlace(1.0f, ops::MatMulTN(x, dv), &wv_->grad);
   ops::AxpyInPlace(1.0f, ops::ColumnSum(dv), &bv_->grad);
+  if (!needs_input_grad[0]) return {Tensor()};
 
   Tensor dx = ops::MatMulNT(dq, wq_->value).Reshaped(xs);
   ops::AxpyInPlace(1.0f, ops::MatMulNT(dk, wk_->value).Reshaped(xs), &dx);
@@ -649,14 +650,14 @@ Tensor AdapterLayer::Forward(const std::vector<const Tensor*>& inputs,
                            ops::EpilogueKind::kBiasRelu);
   Tensor up = ops::DenseForward(c->r, w_up_.value, b_up_.value,
                                 ops::EpilogueKind::kBias);
-  Tensor y = ops::Add(x, up.Reshaped(x.shape()));
+  Tensor y = ops::Add(x, std::move(up).Reshaped(x.shape()));
   if (cache != nullptr) *cache = std::move(c);
   return y;
 }
 
 std::vector<Tensor> AdapterLayer::Backward(
     const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
-    const LayerCache& cache) {
+    const LayerCache& cache, const std::vector<bool>& needs_input_grad) {
   const Tensor& x = *inputs[0];
   const auto& c = static_cast<const AdapterCache&>(cache);
   // y = x + Wu(relu(Wd x)).
@@ -666,6 +667,7 @@ std::vector<Tensor> AdapterLayer::Backward(
   Tensor dz = ops::ReluBackward(dr, c.r);
   ops::AxpyInPlace(1.0f, ops::MatMulTN(x, dz), &w_down_.grad);
   ops::AxpyInPlace(1.0f, ops::ColumnSum(dz), &b_down_.grad);
+  if (!needs_input_grad[0]) return {Tensor()};
   Tensor dx = ops::MatMulNT(dz, w_down_.value).Reshaped(x.shape());
   ops::AxpyInPlace(1.0f, grad_out, &dx);
   return {dx};

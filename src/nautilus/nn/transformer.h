@@ -104,9 +104,10 @@ class EmbeddingBlockLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override;
   std::shared_ptr<Layer> Clone() const override;
 
@@ -165,9 +166,10 @@ class TransformerBlockLayer : public Layer {
   /// positions in the same order.
   Tensor ServeRows(const Tensor& x,
                    const std::vector<PagedKvEntry*>& kvs) const;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override;
   std::shared_ptr<Layer> Clone() const override;
 
@@ -239,9 +241,10 @@ class AdapterLayer : public Layer {
       const std::vector<Shape>& input_record_shapes) const override;
   Tensor Forward(const std::vector<const Tensor*>& inputs,
                  std::unique_ptr<LayerCache>* cache) const override;
-  std::vector<Tensor> Backward(const Tensor& grad_out,
-                               const std::vector<const Tensor*>& inputs,
-                               const LayerCache& cache) override;
+  std::vector<Tensor> Backward(
+      const Tensor& grad_out, const std::vector<const Tensor*>& inputs,
+      const LayerCache& cache,
+      const std::vector<bool>& needs_input_grad) override;
   std::vector<Parameter*> Params() override;
   std::shared_ptr<Layer> Clone() const override;
 

@@ -29,13 +29,26 @@ void PoolQueueObserver(int64_t depth) {
 Counter* g_bufpool_hits = nullptr;
 Counter* g_bufpool_misses = nullptr;
 Counter* g_bufpool_bytes_reused = nullptr;
+Counter* g_bufpool_dropped = nullptr;
+Gauge* g_bufpool_resident = nullptr;
 
-void BufferPoolMetricObserver(bool hit, int64_t bytes) {
-  if (hit) {
-    g_bufpool_hits->Add();
-    g_bufpool_bytes_reused->Add(bytes);
-  } else {
-    g_bufpool_misses->Add();
+void BufferPoolMetricObserver(util::BufferPoolEvent event, int64_t bytes,
+                              int64_t resident_bytes) {
+  switch (event) {
+    case util::BufferPoolEvent::kHit:
+      g_bufpool_hits->Add();
+      g_bufpool_bytes_reused->Add(bytes);
+      break;
+    case util::BufferPoolEvent::kMiss:
+      g_bufpool_misses->Add();
+      break;
+    case util::BufferPoolEvent::kRecycled:
+      // Only a recycle grows the pool, so the high-water mark moves here.
+      g_bufpool_resident->SetMax(static_cast<double>(resident_bytes));
+      break;
+    case util::BufferPoolEvent::kDropped:
+      g_bufpool_dropped->Add();
+      break;
   }
 }
 
@@ -153,6 +166,8 @@ MetricsRegistry& MetricsRegistry::Global() {
     g_bufpool_hits = &registry.counter("tensor.pool.hits");
     g_bufpool_misses = &registry.counter("tensor.pool.misses");
     g_bufpool_bytes_reused = &registry.counter("tensor.pool.bytes_reused");
+    g_bufpool_dropped = &registry.counter("tensor.pool.dropped");
+    g_bufpool_resident = &registry.gauge("tensor.pool.resident_bytes");
     util::SetBufferPoolObserver(&BufferPoolMetricObserver);
     g_gemm_simd_calls = &registry.counter("gemm.calls.simd");
     g_gemm_portable_calls = &registry.counter("gemm.calls.portable");

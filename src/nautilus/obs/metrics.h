@@ -25,10 +25,18 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-write-wins scalar (e.g. a budget or a plan size).
+/// Last-write-wins scalar (e.g. a budget or a plan size), or a high-water
+/// mark when written only through SetMax.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Raises the value to `v` if `v` is larger (lock-free).
+  void SetMax(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while (cur < v && !value_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 

@@ -193,14 +193,14 @@ Tensor ColumnSum(const Tensor& g) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   NAUTILUS_CHECK_EQ(a.NumElements(), b.NumElements());
-  Tensor out = a.PooledCopy();
+  Tensor out = a;
   AxpyInPlace(1.0f, b, &out);
   return out;
 }
 
 Tensor AddN(const std::vector<const Tensor*>& xs) {
   NAUTILUS_CHECK(!xs.empty());
-  Tensor out = xs[0]->PooledCopy();
+  Tensor out = *xs[0];
   for (size_t i = 1; i < xs.size(); ++i) AxpyInPlace(1.0f, *xs[i], &out);
   return out;
 }
@@ -230,7 +230,7 @@ void ScaleInPlace(float alpha, Tensor* x) {
 }
 
 Tensor ReluForward(const Tensor& x) {
-  Tensor y = x.PooledCopy();
+  Tensor y = x;
   float* p = y.data();
   const int64_t n = y.NumElements();
   ParallelFor(
@@ -244,7 +244,7 @@ Tensor ReluForward(const Tensor& x) {
 
 Tensor ReluBackward(const Tensor& dy, const Tensor& y) {
   NAUTILUS_CHECK_EQ(dy.NumElements(), y.NumElements());
-  Tensor dx = dy.PooledCopy();
+  Tensor dx = dy;
   float* pdx = dx.data();
   const float* py = y.data();
   const int64_t n = dx.NumElements();
@@ -260,7 +260,7 @@ Tensor ReluBackward(const Tensor& dy, const Tensor& y) {
 }
 
 Tensor GeluForward(const Tensor& x) {
-  Tensor y = x.PooledCopy();
+  Tensor y = x;
   float* p = y.data();
   const int64_t n = y.NumElements();
   ParallelFor(
@@ -274,7 +274,7 @@ Tensor GeluForward(const Tensor& x) {
 
 Tensor GeluBackward(const Tensor& dy, const Tensor& x) {
   NAUTILUS_CHECK_EQ(dy.NumElements(), x.NumElements());
-  Tensor dx = dy.PooledCopy();
+  Tensor dx = dy;
   float* pdx = dx.data();
   const float* px = x.data();
   const int64_t n = dx.NumElements();
@@ -288,7 +288,7 @@ Tensor GeluBackward(const Tensor& dy, const Tensor& x) {
 }
 
 Tensor TanhForward(const Tensor& x) {
-  Tensor y = x.PooledCopy();
+  Tensor y = x;
   float* p = y.data();
   const int64_t n = y.NumElements();
   ParallelFor(
@@ -302,7 +302,7 @@ Tensor TanhForward(const Tensor& x) {
 
 Tensor TanhBackward(const Tensor& dy, const Tensor& y) {
   NAUTILUS_CHECK_EQ(dy.NumElements(), y.NumElements());
-  Tensor dx = dy.PooledCopy();
+  Tensor dx = dy;
   float* pdx = dx.data();
   const float* py = y.data();
   const int64_t n = dx.NumElements();
@@ -427,7 +427,7 @@ void LayerNormBackward(const Tensor& dy, const Tensor& gamma,
 
 Tensor SoftmaxForward(const Tensor& logits) {
   const MatView v = As2D(logits);
-  Tensor probs = logits.PooledCopy();
+  Tensor probs = logits;
   float* p = probs.data();
   // Row-parallel: each row's max/exp/normalize is independent.
   ParallelFor(
@@ -463,7 +463,7 @@ Tensor SoftmaxForward(const Tensor& logits) {
 Tensor SoftmaxBackward(const Tensor& dy, const Tensor& y) {
   const MatView v = As2D(dy);
   NAUTILUS_CHECK(y.shape() == dy.shape());
-  Tensor dx = dy.PooledCopy();
+  Tensor dx = dy;
   float* pd = dx.data();
   const float* py = y.data();
   // Row-parallel: each row's dot product and rescale are independent.
@@ -489,7 +489,7 @@ float SoftmaxCrossEntropy(const Tensor& probs,
                           Tensor* dlogits) {
   const MatView v = As2D(probs);
   NAUTILUS_CHECK_EQ(static_cast<int64_t>(labels.size()), v.rows);
-  *dlogits = probs.PooledCopy();
+  *dlogits = probs;
   float* pd = dlogits->data();
   const float* pp = probs.data();
   const float inv_m = 1.0f / static_cast<float>(v.rows);

@@ -9,10 +9,45 @@
 
 namespace nautilus {
 
-Tensor::~Tensor() {
-  if (static_cast<int64_t>(data_.capacity()) >=
+Tensor::Tensor(Shape shape)
+    : shape_(std::move(shape)),
+      data_(util::BufferPool::Global().RentZeroed(shape_.NumElements())) {}
+
+Tensor::Tensor(const Tensor& other)
+    : shape_(other.shape_), view_(other.view_), holder_(other.holder_) {
+  if (view_ == nullptr) {
+    data_ = util::BufferPool::Global().RentCopy(
+        other.data_.data(), static_cast<int64_t>(other.data_.size()));
+  }
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) *this = Tensor(other);
+  return *this;
+}
+
+Tensor::Tensor(Tensor&& other) noexcept
+    : shape_(std::move(other.shape_)),
+      data_(std::move(other.data_)),
+      view_(std::exchange(other.view_, nullptr)),
+      holder_(std::move(other.holder_)) {}
+
+Tensor& Tensor::operator=(Tensor&& other) noexcept {
+  if (this != &other) {
+    Release();
+    shape_ = std::move(other.shape_);
+    data_ = std::move(other.data_);
+    view_ = std::exchange(other.view_, nullptr);
+    holder_ = std::move(other.holder_);
+  }
+  return *this;
+}
+
+void Tensor::Release() {
+  std::vector<float> buf = std::move(data_);
+  if (static_cast<int64_t>(buf.capacity()) >=
       util::BufferPool::kMinPooledFloats) {
-    util::BufferPool::Global().Recycle(std::move(data_));
+    util::BufferPool::Global().Recycle(std::move(buf));
   }
 }
 
@@ -20,13 +55,6 @@ Tensor Tensor::Uninitialized(const Shape& shape) {
   Tensor t;
   t.shape_ = shape;
   t.data_ = util::BufferPool::Global().Rent(shape.NumElements());
-  return t;
-}
-
-Tensor Tensor::PooledCopy() const {
-  Tensor t = Uninitialized(shape_);
-  const float* src = data();
-  std::copy(src, src + NumElements(), t.data_.begin());
   return t;
 }
 
@@ -72,10 +100,14 @@ void Tensor::EnsureOwned() {
   holder_.reset();
 }
 
-Tensor Tensor::Reshaped(const Shape& new_shape) const {
+Tensor Tensor::Reshaped(const Shape& new_shape) const& {
+  return Tensor(*this).Reshaped(new_shape);
+}
+
+Tensor Tensor::Reshaped(const Shape& new_shape) && {
   NAUTILUS_CHECK_EQ(new_shape.NumElements(), NumElements())
       << "reshape " << shape_.ToString() << " -> " << new_shape.ToString();
-  Tensor t = *this;
+  Tensor t = std::move(*this);
   t.shape_ = new_shape;
   return t;
 }

@@ -21,6 +21,13 @@ namespace nautilus {
 /// semantics: const accessors read the borrowed bytes in place (zero-copy),
 /// while any mutating accessor first detaches into owned storage, so every
 /// existing call site stays correct regardless of where a tensor came from.
+///
+/// Owned storage is rented from the process-wide util::BufferPool (only the
+/// adopting constructor takes a caller's vector instead), and every owned
+/// buffer a tensor lets go of (destruction, assignment) goes back to it.
+/// Constructing, copying and reshaping therefore reuse the buffers of the
+/// previous training step instead of faulting in fresh pages, and the pool
+/// stays at one step's working set instead of filling its budget.
 class Tensor {
  public:
   /// In-memory tensors are always f32; every stride/byte computation must go
@@ -31,24 +38,24 @@ class Tensor {
       static_cast<int64_t>(sizeof(float));
 
   Tensor() = default;
-  explicit Tensor(Shape shape)
-      : shape_(std::move(shape)),
-        data_(static_cast<size_t>(shape_.NumElements()), 0.0f) {}
+  /// Zero-filled tensor on rented storage.
+  explicit Tensor(Shape shape);
+  /// Adopts `data` as this tensor's storage.
   Tensor(Shape shape, std::vector<float> data)
       : shape_(std::move(shape)), data_(std::move(data)) {
     NAUTILUS_CHECK_EQ(static_cast<int64_t>(data_.size()),
                       shape_.NumElements());
   }
 
-  Tensor(const Tensor&) = default;
-  Tensor& operator=(const Tensor&) = default;
-  Tensor(Tensor&&) = default;
-  Tensor& operator=(Tensor&&) = default;
+  /// Deep copy into rented storage. A borrowed view copies no bytes: the
+  /// copy shares the view and its holder.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&& other) noexcept;
 
-  /// Returns owned storage to the process-wide buffer pool (see
-  /// util::BufferPool) so the next Uninitialized tensor of a similar size
-  /// skips allocation and zero-fill.
-  ~Tensor();
+  /// Returns owned storage to the buffer pool.
+  ~Tensor() { Release(); }
 
   /// Tensor filled with normal noise; used for weight initialization.
   static Tensor Randn(const Shape& shape, Rng* rng, float stddev);
@@ -60,11 +67,6 @@ class Tensor {
   /// overwritten before being read — kernel outputs, scratch buffers. Ops
   /// that accumulate into their output must use Tensor(shape) instead.
   static Tensor Uninitialized(const Shape& shape);
-
-  /// Deep copy whose storage comes from the buffer pool. Prefer this over
-  /// the copy constructor for short-lived copies (per-step caches): it
-  /// avoids the allocator on the steady-state path.
-  Tensor PooledCopy() const;
 
   /// Non-owning view over `shape.NumElements()` floats at `data`. `holder`
   /// keeps the backing storage (an mmap-ed file, a cache entry) alive for as
@@ -105,7 +107,10 @@ class Tensor {
   }
 
   /// Reinterprets the tensor with a new shape of the same element count.
-  Tensor Reshaped(const Shape& new_shape) const;
+  /// The lvalue form copies; the rvalue form moves the storage, so
+  /// reshaping a temporary (`ops::MatMul(a, b).Reshaped(s)`) copies nothing.
+  Tensor Reshaped(const Shape& new_shape) const&;
+  Tensor Reshaped(const Shape& new_shape) &&;
 
   /// Rows [begin, end) along the batch (first) dimension, copied out.
   Tensor SliceRows(int64_t begin, int64_t end) const;
@@ -128,6 +133,8 @@ class Tensor {
  private:
   /// Detaches a borrowed view into owned storage (no-op when already owned).
   void EnsureOwned();
+  /// Hands owned storage back to the buffer pool, leaving `data_` empty.
+  void Release();
 
   Shape shape_;
   std::vector<float> data_;

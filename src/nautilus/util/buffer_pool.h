@@ -18,7 +18,7 @@ struct BufferPoolStats {
   int64_t bytes_reused = 0;
   int64_t resident_bytes = 0;
   int64_t recycled = 0;  // buffers accepted back
-  int64_t dropped = 0;   // buffers rejected (budget or size)
+  int64_t dropped = 0;   // poolable buffers rejected by the budget
 };
 
 /// Size-class recycler for tensor storage. Training allocates and frees the
@@ -26,13 +26,15 @@ struct BufferPoolStats {
 /// malloc + page faults + a pointless zero-fill for buffers that are fully
 /// overwritten anyway. The pool keeps freed float buffers in power-of-two
 /// size classes (LIFO, so the hottest cache lines come back first) under a
-/// byte budget and hands them back uncleared.
+/// byte budget and hands them back uncleared. Every owned Tensor buffer is
+/// rented here and recycled here, so in steady state the pool holds only
+/// what the last step handed out, far below the budget.
 ///
 /// Contents of a rented buffer are ARBITRARY on a hit (recycled values) and
-/// zero on a miss (fresh allocation) — callers must fully overwrite. Rent
-/// requests below kMinPooledFloats bypass the pool entirely (plain
-/// allocation, not counted): the lock + bookkeeping would cost more than the
-/// malloc they save.
+/// zero on a miss (fresh allocation) — callers must fully overwrite or use
+/// RentZeroed / RentCopy. Requests below kMinPooledFloats bypass the pool
+/// entirely (plain allocation, not counted): the lock + bookkeeping would
+/// cost more than the malloc they save.
 class BufferPool {
  public:
   /// 4 KiB: below this a buffer is never pooled.
@@ -51,9 +53,17 @@ class BufferPool {
   /// size class when possible (no allocation, contents arbitrary).
   std::vector<float> Rent(int64_t n);
 
+  /// Rent, with every element zero.
+  std::vector<float> RentZeroed(int64_t n);
+
+  /// Rent, holding a copy of the n floats at `src`. Neither a hit nor a
+  /// miss is cleared first.
+  std::vector<float> RentCopy(const float* src, int64_t n);
+
   /// Takes ownership of a freed buffer. Buffers smaller than
-  /// kMinPooledFloats, larger than a quarter of the budget, or not fitting
-  /// under the budget are dropped (freed normally).
+  /// kMinPooledFloats are left to the caller to free (uncounted); buffers
+  /// larger than a quarter of the budget, or not fitting under it, are
+  /// dropped (freed normally).
   void Recycle(std::vector<float>&& buf);
 
   BufferPoolStats stats() const;
@@ -66,6 +76,9 @@ class BufferPool {
 
  private:
   static int ClassIndex(int64_t floats);  // -1 when not poolable
+  // A buffer with capacity >= n: a hit as it was recycled (size and
+  // contents arbitrary), a miss empty.
+  std::vector<float> Take(int64_t n);
 
   mutable std::mutex mu_;
   // Class c holds buffers with capacity >= kMinPooledFloats << c.
@@ -75,10 +88,16 @@ class BufferPool {
   BufferPoolStats stats_;
 };
 
-/// Observability hook: called (when set) after every poolable Rent with
-/// whether it hit and how many bytes were requested. Installed once by the
-/// obs layer (util cannot link obs); must be cheap and thread-safe.
-void SetBufferPoolObserver(void (*observer)(bool hit, int64_t bytes));
+enum class BufferPoolEvent { kHit, kMiss, kRecycled, kDropped };
+
+/// Observability hook: called (when set) after every poolable Rent (kHit or
+/// kMiss, with the bytes requested) and every Recycle (kRecycled or
+/// kDropped, with the buffer's capacity in bytes), together with the pool's
+/// resident bytes right after the event. Installed once by the obs layer
+/// (util cannot link obs); must be cheap and thread-safe.
+void SetBufferPoolObserver(void (*observer)(BufferPoolEvent event,
+                                            int64_t bytes,
+                                            int64_t resident_bytes));
 
 }  // namespace util
 }  // namespace nautilus

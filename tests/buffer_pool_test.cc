@@ -1,15 +1,20 @@
 // Buffer pool behavior: hit/miss accounting, capacity normalization, budget
 // enforcement, no-aliasing of live rentals, and the Tensor lifecycle hooks
-// (recycling destructor, Uninitialized, PooledCopy).
+// (rented construction and copies, recycling destructor and assignment,
+// storage-moving reshape), down to a training step that leaves the pool's
+// size unchanged.
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nautilus/nn/transformer.h"
 #include "nautilus/tensor/tensor.h"
 #include "nautilus/util/buffer_pool.h"
 #include "nautilus/util/parallel.h"
+#include "nautilus/util/random.h"
 
 namespace nautilus {
 namespace {
@@ -31,6 +36,9 @@ class PoolSnapshot {
   }
   int64_t recycled() const { return now().recycled - before_.recycled; }
   int64_t dropped() const { return now().dropped - before_.dropped; }
+  int64_t resident_bytes() const {
+    return now().resident_bytes - before_.resident_bytes;
+  }
 
  private:
   static BufferPoolStats now() { return BufferPool::Global().stats(); }
@@ -168,17 +176,93 @@ TEST(TensorPool, UninitializedHasShapeAndIsFullyWritable) {
   EXPECT_EQ(t.at(t.NumElements() - 1), 2.0f);
 }
 
-TEST(TensorPool, PooledCopyIsDeepAndExact) {
+TEST(TensorPool, ConstructionRentsFromThePool) {
+  BufferPool::Global().Clear();
+  { Tensor t(Shape({2, kMin})); }
+  PoolSnapshot snap;
+  Tensor again(Shape({2, kMin}));
+  EXPECT_EQ(snap.hits(), 1);
+  EXPECT_EQ(snap.misses(), 0);
+}
+
+TEST(TensorPool, CopyIsAPoolHitDeepAndExact) {
   BufferPool::Global().Clear();
   Tensor src(Shape({2, kMin}));
   for (int64_t i = 0; i < src.NumElements(); ++i) {
     src.at(i) = static_cast<float>(i % 97);
   }
-  Tensor copy = src.PooledCopy();
+  { Tensor parked(Shape({2, kMin})); }
+  PoolSnapshot snap;
+  Tensor copy = src;
+  EXPECT_EQ(snap.hits(), 1);
+  EXPECT_EQ(snap.misses(), 0);
   EXPECT_EQ(Tensor::MaxAbsDiff(src, copy), 0.0f);
   EXPECT_NE(copy.data(), src.data());
   copy.at(0) = -1.0f;
   EXPECT_EQ(src.at(0), 0.0f);
+
+  // Copy assignment rents too, and hands the overwritten buffer back.
+  Tensor assigned(Shape({2, kMin}));
+  PoolSnapshot assign_snap;
+  assigned = src;
+  EXPECT_EQ(assign_snap.recycled(), 1);
+  EXPECT_EQ(Tensor::MaxAbsDiff(src, assigned), 0.0f);
+  EXPECT_NE(assigned.data(), src.data());
+}
+
+TEST(TensorPool, MoveAssignmentRecyclesTheOverwrittenBuffer) {
+  BufferPool::Global().Clear();
+  Tensor target(Shape({2, kMin}));
+  Tensor source(Shape({2, kMin}));
+  const float* source_data = source.data();
+  PoolSnapshot snap;
+  target = std::move(source);
+  EXPECT_EQ(snap.recycled(), 1);
+  EXPECT_EQ(target.data(), source_data);
+}
+
+TEST(TensorPool, RvalueReshapeMovesTheStorage) {
+  Tensor t(Shape({4, kMin}));
+  t.at(5) = 7.0f;
+  const float* data = t.data();
+  PoolSnapshot snap;
+  Tensor r = std::move(t).Reshaped(Shape({2, 2 * kMin}));
+  EXPECT_EQ(r.data(), data);
+  EXPECT_EQ(r.shape(), Shape({2, 2 * kMin}));
+  EXPECT_EQ(r.at(5), 7.0f);
+  EXPECT_EQ(snap.hits() + snap.misses(), 0);
+
+  // The lvalue form still copies: the source stays intact and separate.
+  Tensor l = r.Reshaped(Shape({4, kMin}));
+  EXPECT_NE(l.data(), r.data());
+  EXPECT_EQ(l.at(5), 7.0f);
+  EXPECT_EQ(r.shape(), Shape({2, 2 * kMin}));
+}
+
+TEST(TensorPool, TrainingStepsLeaveThePoolSizeUnchanged) {
+  // Every buffer a fwd+bwd step rents goes back to the pool when the step
+  // ends, and nothing else does: once the first steps have warmed the size
+  // classes, the pool neither grows nor shrinks. Degree 1 makes the number
+  // of GEMM packing buffers live at once the same in every step.
+  const int saved_degree = ParallelismDegree();
+  SetParallelismDegree(1);
+  Rng rng(11);
+  nn::TransformerBlockLayer block("blk", 32, 4, 64, &rng);
+  const Tensor x = Tensor::Randn(Shape({12, 12, 32}), &rng, 1.0f);
+  const Tensor dy = Tensor::Randn(x.shape(), &rng, 1.0f);
+  auto step = [&] {
+    std::unique_ptr<nn::LayerCache> cache;
+    Tensor y = block.Forward({&x}, &cache);
+    block.Backward(dy, {&x}, *cache, {true});
+  };
+  BufferPool::Global().Clear();
+  for (int i = 0; i < 3; ++i) step();
+  PoolSnapshot snap;
+  for (int i = 0; i < 20; ++i) step();
+  SetParallelismDegree(saved_degree);
+  EXPECT_EQ(snap.resident_bytes(), 0);
+  EXPECT_EQ(snap.misses(), 0);
+  EXPECT_EQ(snap.dropped(), 0);
 }
 
 TEST(TensorPool, RecycledContentsNeverLeakIntoZeroInitTensors) {

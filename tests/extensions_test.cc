@@ -215,7 +215,7 @@ TEST(RnnCellGradTest, BackwardMatchesFiniteDifference) {
   std::unique_ptr<nn::LayerCache> cache;
   (void)cell.Forward({&x, &h}, &cache);
   cell.ZeroGrads();
-  auto grads = cell.Backward(w, {&x, &h}, *cache);
+  auto grads = cell.Backward(w, {&x, &h}, *cache, {true, true});
   ASSERT_EQ(grads.size(), 2u);
 
   auto weighted = [&](const Tensor& a, const Tensor& b) {

@@ -1,5 +1,6 @@
 // Unit and gradient-check tests for every nn layer and the optimizers.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,7 @@ void CheckLayerGradients(Layer* layer, const Tensor& x, uint64_t seed,
   Tensor w = Tensor::Randn(y.shape(), &rng, 1.0f);
 
   layer->ZeroGrads();
-  std::vector<Tensor> input_grads = layer->Backward(w, {&x}, *cache);
+  std::vector<Tensor> input_grads = layer->Backward(w, {&x}, *cache, {true});
   ASSERT_EQ(input_grads.size(), 1u);
 
   auto f_input = [&](const Tensor& probe) {
@@ -59,6 +60,61 @@ void CheckLayerGradients(Layer* layer, const Tensor& x, uint64_t seed,
     ExpectGradientsClose(f_param, original, analytic, eps, atol, rtol);
     p->value = original;
   }
+}
+
+// Backward with the input gradient not requested returns an empty input
+// gradient and accumulates parameter gradients bitwise equal to a full
+// backward's: skipping dX never touches the dW/db arithmetic.
+void CheckSkippedInputGradient(Layer* layer, const Tensor& x, uint64_t seed) {
+  Rng rng(seed);
+  std::unique_ptr<LayerCache> cache;
+  Tensor y = layer->Forward({&x}, &cache);
+  Tensor w = Tensor::Randn(y.shape(), &rng, 1.0f);
+
+  layer->ZeroGrads();
+  std::vector<Tensor> full = layer->Backward(w, {&x}, *cache, {true});
+  ASSERT_EQ(full.size(), 1u);
+  EXPECT_EQ(full[0].shape(), x.shape());
+  std::vector<Tensor> full_param_grads;
+  for (Parameter* p : layer->Params()) full_param_grads.push_back(p->grad);
+
+  layer->ZeroGrads();
+  std::vector<Tensor> skipped = layer->Backward(w, {&x}, *cache, {false});
+  ASSERT_EQ(skipped.size(), 1u);
+  EXPECT_TRUE(skipped[0].empty()) << layer->type_name();
+  std::vector<Parameter*> params = layer->Params();
+  ASSERT_EQ(params.size(), full_param_grads.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& got = params[i]->grad;
+    const Tensor& want = full_param_grads[i];
+    ASSERT_EQ(got.shape(), want.shape()) << params[i]->name;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(got.SizeBytes())),
+              0)
+        << params[i]->name;
+  }
+}
+
+TEST(SkippedInputGradientTest, ParameterGradientsMatchFullBackward) {
+  Rng rng(20);
+  TransformerBlockLayer block("blk", 8, 2, 16, &rng);
+  CheckSkippedInputGradient(&block, Tensor::Randn(Shape({2, 5, 8}), &rng, 1.0f),
+                            200);
+  for (Activation act : {Activation::kNone, Activation::kRelu,
+                         Activation::kGelu, Activation::kTanh}) {
+    DenseLayer d(std::string("d_") + ActivationName(act), 5, 4, act, &rng);
+    CheckSkippedInputGradient(&d, Tensor::Randn(Shape({3, 2, 5}), &rng, 0.8f),
+                              210 + static_cast<uint64_t>(act));
+  }
+  AdapterLayer adapter("ad", 8, 2, &rng);
+  CheckSkippedInputGradient(
+      &adapter, Tensor::Randn(Shape({2, 3, 8}), &rng, 1.0f), 220);
+  LayerNormLayer ln("ln", 8);
+  CheckSkippedInputGradient(&ln, Tensor::Randn(Shape({4, 8}), &rng, 1.0f),
+                            230);
+  ResidualBlockLayer res("r", 2, 2, 4, /*stride=*/2, &rng);
+  CheckSkippedInputGradient(
+      &res, Tensor::Randn(Shape({1, 2, 4, 4}), &rng, 0.6f), 240);
 }
 
 TEST(DenseLayerTest, ShapesAndFlops) {
@@ -120,7 +176,7 @@ TEST(CombineLayersTest, AddAndConcatGradients) {
   std::unique_ptr<LayerCache> cache;
   Tensor y = add.Forward({&a, &b}, &cache);
   Tensor w = Tensor::Randn(y.shape(), &rng, 1.0f);
-  auto grads = add.Backward(w, {&a, &b}, LayerCache());
+  auto grads = add.Backward(w, {&a, &b}, LayerCache(), {true, true});
   ASSERT_EQ(grads.size(), 2u);
   EXPECT_LT(Tensor::MaxAbsDiff(grads[0], w), 1e-6f);
   EXPECT_LT(Tensor::MaxAbsDiff(grads[1], w), 1e-6f);
@@ -128,8 +184,8 @@ TEST(CombineLayersTest, AddAndConcatGradients) {
   ConcatLayer cat("cat");
   Tensor yc = cat.Forward({&a, &b}, &cache);
   EXPECT_EQ(yc.shape(), Shape({2, 6}));
-  auto cgrads = cat.Backward(
-      Tensor::Randn(yc.shape(), &rng, 1.0f), {&a, &b}, LayerCache());
+  auto cgrads = cat.Backward(Tensor::Randn(yc.shape(), &rng, 1.0f),
+                             {&a, &b}, LayerCache(), {true, true});
   EXPECT_EQ(cgrads[0].shape(), a.shape());
   EXPECT_EQ(cgrads[1].shape(), b.shape());
 }
@@ -154,7 +210,7 @@ TEST(EmbeddingBlockTest, ShapesAndGradients) {
   // Parameter gradient check (ids themselves have no gradient).
   Tensor w = Tensor::Randn(y.shape(), &rng, 1.0f);
   emb.ZeroGrads();
-  emb.Backward(w, {&ids}, *cache);
+  emb.Backward(w, {&ids}, *cache, {false});
   for (Parameter* p : emb.Params()) {
     Tensor analytic = p->grad;
     Tensor original = p->value;

@@ -2,7 +2,8 @@
 # Minimal CI gate: tier-1 verify (configure + build + ctest), an
 # observability smoke test that exercises nautilus_cli --trace-out and
 # asserts the emitted Chrome trace is non-empty valid JSON containing the
-# executor/planner spans documented in docs/OBSERVABILITY.md, a
+# executor/planner spans documented in docs/OBSERVABILITY.md (and that the
+# same run's tensor.pool.resident_bytes high-water mark stays under 64 MiB), a
 # crash-recovery smoke test that kills a persistent run mid-materialization
 # (NAUTILUS_FAULT=crash_after_write:N), tears two shards (one by exactly
 # its footer), and asserts the resumed run's scrub quarantines both and that
@@ -40,15 +41,30 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "==> observability smoke test"
 TRACE_FILE="$(mktemp /tmp/nautilus_ci_trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_FILE"' EXIT
+OBS_OUT="$(mktemp /tmp/nautilus_ci_obs.XXXXXX.txt)"
+trap 'rm -f "$TRACE_FILE" "$OBS_OUT"' EXIT
 # 2 cycles x 60 records is the smallest run where the optimizer picks a
 # materialization plan, so the trace exercises store/materializer spans too.
 "$BUILD_DIR/tools/nautilus_cli" \
   --workload=FTR-2 --approach=nautilus --mode=measure \
   --cycles=2 --records=60 \
-  --trace-out="$TRACE_FILE" --metrics-summary
+  --trace-out="$TRACE_FILE" --metrics-summary > "$OBS_OUT"
+cat "$OBS_OUT"
 
 test -s "$TRACE_FILE" || { echo "FAIL: trace file is empty"; exit 1; }
+
+# Buffer-pool balance: every owned tensor buffer is rented from the pool and
+# recycled into it, so its high-water mark stays near one training step's
+# working set (~32 MB here). A pool that fills toward its 256 MiB budget is
+# taking back buffers it never handed out.
+POOL_RESIDENT="$(awk '$1 == "tensor.pool.resident_bytes" {print $2}' "$OBS_OUT")"
+rm -f "$OBS_OUT"
+if [ -z "$POOL_RESIDENT" ] ||
+   awk -v v="$POOL_RESIDENT" 'BEGIN { exit !(v > 64 * 1048576) }'; then
+  echo "FAIL: tensor.pool.resident_bytes '${POOL_RESIDENT}' is missing or above 64 MiB"
+  exit 1
+fi
+echo "buffer pool OK: resident high-water ${POOL_RESIDENT} bytes"
 
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$TRACE_FILE" <<'PY'
